@@ -1,0 +1,108 @@
+"""Golden trace hashes: the simulator's behaviour oracle.
+
+Each case below is a (scenario, seed) pair whose ``trace_hash()`` is pinned
+in ``golden_trace_hashes.json``. Any change to scheduling, trigger order,
+protocol output or trace encoding shows up here as a hash mismatch.
+
+A deliberate trace-format change re-baselines the file in the same change:
+
+    PYTHONPATH=src python tests/test_golden_traces.py --regenerate
+"""
+import json
+import sys
+from pathlib import Path
+
+from byzreg.cli import bundled_scenario_names, resolve_scenario
+from byzreg.netsim import Simulation
+from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
+                             matrix_scenario)
+
+GOLDEN = Path(__file__).with_name("golden_trace_hashes.json")
+BUNDLED_SEEDS = range(5)
+MATRIX_SIZES = (4, 7)
+MATRIX_STRATEGIES = (None, "CRASH_SILENT", "EQUIVOCATE_WRITE", "SEQ_SKIP",
+                     "STALE_STATE", "ACK_FORGE", "READY_POISON",
+                     "COLLUDE_DELAY")
+MATRIX_SEEDS = range(3)
+
+
+def chained_reads(length: int = 20) -> ScenarioConfig:
+    """n=7: p0 chains writes, p1..p6 each chain reads of register 0."""
+    ops = [WorkloadOp(f"w{k}", 0, "write", value=f"v{k}",
+                      **({"at": 0} if k == 1 else {"after": f"w{k - 1}"}))
+           for k in range(1, length + 1)]
+    for p in range(1, 7):
+        ops += [WorkloadOp(f"r{p}.{k}", p, "read", target=0,
+                           **({"at": p} if k == 1
+                              else {"after": f"r{p}.{k - 1}"}))
+                for k in range(1, length + 1)]
+    return ScenarioConfig(name="golden-chained-reads", n=7, t=2,
+                          scheduler="RANDOM", workload=ops)
+
+
+def wide_writes() -> ScenarioConfig:
+    """n=16: every process writes its own register once, all at time 0."""
+    ops = [WorkloadOp(f"w{p}", p, "write", value=f"x{p}", at=0)
+           for p in range(16)]
+    return ScenarioConfig(name="golden-wide-writes", n=16, t=5,
+                          scheduler="RANDOM", workload=ops)
+
+
+def byzantine_chain() -> ScenarioConfig:
+    """n=4 with an equivocating p3 whose entries gate and follow others.
+
+    Covers forward ``after`` references, entries a Byzantine entry makes
+    ready in the same sweep and in the next one, a time trigger that finds
+    its process busy, and an idle-time jump.
+    """
+    ops = [
+        WorkloadOp("a", 0, "write", value="a", at=0),
+        WorkloadOp("b", 1, "read", target=3, after="z"),
+        WorkloadOp("c", 3, "write", value="c", after="a"),
+        WorkloadOp("z", 3, "write", value="z", at=0),
+        WorkloadOp("d", 2, "read", target=0, after="c"),
+        WorkloadOp("e", 3, "write", value="e", after="z"),
+        WorkloadOp("f", 2, "write", value="f", after="e"),
+        WorkloadOp("g", 0, "read", target=3, at=5),
+        WorkloadOp("h", 1, "write", value="h", at=2000),
+    ]
+    return ScenarioConfig(name="golden-byzantine-chain", n=4, t=1,
+                          scheduler="RANDOM", workload=ops,
+                          adversary=AdversarySpec("EQUIVOCATE_WRITE", (3,)))
+
+
+def cases() -> dict[str, ScenarioConfig]:
+    out = {}
+    for name in bundled_scenario_names():
+        cfg = resolve_scenario(name)
+        for seed in BUNDLED_SEEDS:
+            out[f"{name}/{seed}"] = cfg.with_seed(seed)
+    for n in MATRIX_SIZES:
+        for strategy in MATRIX_STRATEGIES:
+            for seed in MATRIX_SEEDS:
+                cfg = matrix_scenario(n, strategy, seed)
+                out[f"{cfg.name}/{seed}"] = cfg
+    for cfg in (chained_reads(), wide_writes(), byzantine_chain()):
+        out[f"{cfg.name}/0"] = cfg
+    return out
+
+
+def compute() -> dict[str, str]:
+    return {key: Simulation(cfg).run().trace_hash()
+            for key, cfg in cases().items()}
+
+
+def test_trace_hashes_match_golden_file():
+    golden = json.loads(GOLDEN.read_text())
+    got = compute()
+    assert sorted(got) == sorted(golden), "case list differs from golden file"
+    wrong = [key for key in golden if got[key] != golden[key]]
+    assert not wrong, f"{len(wrong)} traces changed: {wrong[:10]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_traces.py "
+                 "--regenerate")
+    GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
