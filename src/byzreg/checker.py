@@ -545,8 +545,10 @@ class CostReport:
     unattributed: int
     verdict: Verdict
 
-    def by_kind(self, kind: str) -> list[OpCost]:
-        return [c for c in self.per_op.values() if c.kind == kind]
+
+def cost_bounds(n: int) -> dict[str, int]:
+    """Most sends among correct processes one completed op may cost, by kind."""
+    return {"READ": 4 * n, "WRITE": 2 * n * n + 2 * n}
 
 
 def count_messages(trace: Trace, history: History | None = None) -> CostReport:
@@ -560,7 +562,6 @@ def count_messages(trace: Trace, history: History | None = None) -> CostReport:
     if history is None:
         history = derive_histories(trace)
     correct = set(trace.correct_nodes())
-    n, t = trace.n, trace.t
 
     write_key: dict[tuple[int, int], str] = {}
     read_key: dict[tuple[int, int, int], str] = {}
@@ -613,14 +614,13 @@ def count_messages(trace: Trace, history: History | None = None) -> CostReport:
         counts = per_op[op_id].counts
         counts[tag] = counts.get(tag, 0) + 1
 
-    read_bound = 4 * n
-    write_bound = 2 * n * n + 2 * n
+    bounds = cost_bounds(trace.n)
     verdict = Verdict("message-cost", VACUOUS, "no completed operations")
     for op in sorted(history.ops, key=lambda o: o.start_seq):
         if not op.completed():
             continue
         cost = per_op[op.op_id]
-        bound = read_bound if op.kind == "READ" else write_bound
+        bound = bounds[op.kind]
         if cost.total > bound:
             verdict = Verdict(
                 "message-cost", FAIL,

@@ -22,7 +22,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .checker import CheckReport, run_all_checks
+from .checker import CheckReport, cost_bounds, run_all_checks
 from .errors import ScenarioError
 from .netsim import Simulation, Trace
 from .scenario import ScenarioConfig
@@ -143,8 +143,7 @@ def cmd_sweep(args) -> int:
                 costs[cost.kind].append(cost.total)
         if not report.ok(cfg.expect_nonterminating) and first_failure is None:
             first_failure = (seed, trace, report)
-    n = cfg.n
-    bounds = {"READ": 4 * n, "WRITE": 2 * n * n + 2 * n}
+    bounds = cost_bounds(cfg.n)
     print(f"sweep {cfg.name}: {len(seeds)} seeds")
     for prop in sorted(verdict_totals):
         line = ", ".join(f"{status}={count}" for status, count

@@ -11,9 +11,15 @@ vote-counting tables) and JSON-serializable (they appear in traces).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Any, ClassVar
 
 Value = Any
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -22,8 +28,8 @@ class Message:
 
     def to_wire(self) -> dict:
         wire = {"tag": self.tag}
-        for f in fields(self):
-            wire[f.name] = getattr(self, f.name)
+        for name in _field_names(type(self)):
+            wire[name] = getattr(self, name)
         return wire
 
 

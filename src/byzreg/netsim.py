@@ -7,14 +7,30 @@ A fairness bound keeps transit times finite: once a message has been
 passed over that many times it is delivered before any fresher one, oldest
 first.
 
-Logical time is the number of deliveries so far. Each run produces a
-trace: one structured record per event with a fixed field order, so a
-(scenario, seed) pair reproduces the identical byte stream. The trace is
-the only input the checker ever looks at.
+Logical time is the number of deliveries so far. Before each delivery
+the simulator starts every workload entry that has become ready: its
+"at" time has come, its "after" entry is done, and its process is idle.
+Entries that are ready together start in workload order. An entry on a
+Byzantine process counts as done the moment it starts, so it can make
+another entry ready in the same sweep: that entry starts in this sweep if
+it is listed after the current one, and in the next sweep otherwise. With
+the network empty, time jumps to the next "at" trigger. Triggers are kept
+in indexes (dependents by "after" id, a heap on "at", and per-process
+lists of entries that found their process busy), so this costs nothing per
+delivery when no entry is due, however long the workload.
+
+Each run produces a trace: one structured record per event with a fixed
+field order, so a (scenario, seed) pair reproduces the identical byte
+stream. A record's "snapshot" field is the crc32, in hex, of the state
+digest of the node it happened at, as that digest stands when the record
+is written (so a DELIVER or OP_START shows the state before the node
+handles its input). It is recomputed only when the digest changes. The
+trace is the only input the checker ever looks at.
 """
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import random
 import zlib
@@ -79,7 +95,12 @@ class _InFlightPool:
         return self._by_id.get(mid)
 
     def snapshot(self) -> list[PendingMessage]:
-        return [self._by_id[m] for m in sorted(self._by_id)]
+        """Every in-flight message, in id order.
+
+        Ids are issued in increasing order and dicts keep insertion order,
+        so the values are already sorted.
+        """
+        return list(self._by_id.values())
 
 
 @dataclass
@@ -152,6 +173,17 @@ class Simulation:
         self.halted = False
         self._op_state = {op.id: "waiting" for op in scenario.workload}
         self._running: dict[int, WorkloadOp] = {}  # process -> live entry
+        # trigger indexes over workload positions; see _fire_workload
+        self._ready: list[int] = []  # heap: triggers met, not yet started
+        self._timed: list[tuple[int, int]] = []  # heap: (at, index)
+        self._dependents: dict[str, list[int]] = {}  # after id -> indexes
+        self._parked: dict[int, list[int]] = {}  # busy process -> indexes
+        for index, entry in enumerate(scenario.workload):
+            if entry.after is None:
+                self._arm(index)
+            else:
+                self._dependents.setdefault(entry.after, []).append(index)
+        self._snapshots: dict[int, tuple[tuple, str]] = {}  # pid -> digest, hex
 
     # -- trace plumbing ------------------------------------------------------
 
@@ -160,7 +192,12 @@ class Simulation:
             digest = self.strategy.digest(pid) if self.strategy else ("?", pid)
         else:
             digest = self.nodes[pid].digest()
-        return format(zlib.crc32(repr(digest).encode()), "08x")
+        cached = self._snapshots.get(pid)
+        if cached is not None and cached[0] is digest:
+            return cached[1]
+        snap = format(zlib.crc32(repr(digest).encode()), "08x")
+        self._snapshots[pid] = (digest, snap)
+        return snap
 
     def _record(self, kind: str, node: int, sender, receiver,
                 payload: dict) -> dict:
@@ -233,7 +270,9 @@ class Simulation:
         entry = self._running.pop(pid, None)
         if entry is None:
             raise RuntimeError(f"completion with no running op at p{pid}")
-        self._op_state[entry.id] = "done"
+        self._mark_done(entry)
+        for index in self._parked.pop(pid, ()):
+            heapq.heappush(self._ready, index)
         self._record("OP_END", pid, pid, None,
                      {"op": eff.kind.upper(), "id": entry.id,
                       "target": eff.target, "value": eff.value, "sn": eff.sn})
@@ -244,65 +283,66 @@ class Simulation:
 
     # -- workload -----------------------------------------------------------------
 
-    def _fireable(self, entry: WorkloadOp) -> bool:
-        if self._op_state[entry.id] != "waiting":
-            return False
-        if entry.at is not None and self.time < entry.at:
-            return False
-        if entry.after is not None and self._op_state[entry.after] != "done":
-            return False
-        if entry.process not in self.byzantine and entry.process in self._running:
-            return False  # process busy; retried once its op completes
-        return True
+    def _arm(self, index: int) -> None:
+        """An entry's after-trigger is met; queue it by its at-trigger."""
+        at = self.scenario.workload[index].at
+        if at is None or at <= self.time:
+            heapq.heappush(self._ready, index)
+        else:
+            heapq.heappush(self._timed, (at, index))
+
+    def _mark_done(self, entry: WorkloadOp) -> None:
+        self._op_state[entry.id] = "done"
+        for index in self._dependents.pop(entry.id, ()):
+            self._arm(index)
 
     def _fire_workload(self) -> None:
-        fired = True
-        while fired:
-            fired = False
-            for entry in self.scenario.workload:
-                if not self._fireable(entry):
+        """Start every entry whose triggers hold and whose process is idle.
+
+        Entries start in sweeps over the ready set in workload order. A
+        Byzantine entry counts as done the moment it fires, so it can make
+        others ready mid-sweep: those listed after it start in the same
+        sweep, those listed before it in the next.
+        """
+        timed, ready = self._timed, self._ready
+        while timed and timed[0][0] <= self.time:
+            heapq.heappush(ready, heapq.heappop(timed)[1])
+        workload = self.scenario.workload
+        while ready:
+            passed: list[int] = []
+            cursor = -1
+            while ready:
+                index = heapq.heappop(ready)
+                if index < cursor:
+                    passed.append(index)  # the sweep has gone by it
                     continue
-                fired = True
-                if entry.process in self.byzantine:
+                cursor = index
+                entry = workload[index]
+                pid = entry.process
+                if pid in self.byzantine:
                     # handed to the strategy; completion is not observable
-                    self._op_state[entry.id] = "done"
+                    self._mark_done(entry)
                     if self.strategy is not None:
-                        self._byz_sends(entry.process,
-                                        self.strategy.on_workload(
-                                            entry.process, entry))
+                        self._byz_sends(pid, self.strategy.on_workload(
+                            pid, entry))
                     continue
-                node = self.nodes[entry.process]
+                if pid in self._running:
+                    # retried once the running op completes
+                    self._parked.setdefault(pid, []).append(index)
+                    continue
+                node = self.nodes[pid]
                 self._op_state[entry.id] = "running"
-                self._running[entry.process] = entry
-                self._record("OP_START", entry.process, entry.process, None,
+                self._running[pid] = entry
+                self._record("OP_START", pid, pid, None,
                              {"op": entry.op.upper(), "id": entry.id,
                               "target": entry.target if entry.op == "read"
-                              else entry.process,
+                              else pid,
                               "value": entry.value})
                 if entry.op == "write":
-                    self._process_effects(entry.process,
-                                          node.begin_write(entry.value))
+                    self._process_effects(pid, node.begin_write(entry.value))
                 else:
-                    self._process_effects(entry.process,
-                                          node.begin_read(entry.target))
-
-    def _advance_idle_time(self) -> bool:
-        """With an empty network, jump to the next time-triggered entry."""
-        candidates = []
-        for entry in self.scenario.workload:
-            if self._op_state[entry.id] != "waiting" or entry.at is None:
-                continue
-            if entry.after is not None and self._op_state[entry.after] != "done":
-                continue
-            if (entry.process not in self.byzantine
-                    and entry.process in self._running):
-                continue
-            if entry.at > self.time:
-                candidates.append(entry.at)
-        if not candidates:
-            return False
-        self.time = min(candidates)
-        return True
+                    self._process_effects(pid, node.begin_read(entry.target))
+            ready.extend(passed)  # ascending, so still a heap
 
     # -- main loop ------------------------------------------------------------------
 
@@ -337,7 +377,9 @@ class Simulation:
             if self.step() is not None:
                 deliveries += 1
                 continue
-            if self._advance_idle_time():
+            if self._timed:
+                # idle network: jump to the next time-triggered entry
+                self.time = self._timed[0][0]
                 continue
             if all(state == "done" for state in self._op_state.values()):
                 outcome = OUTCOME_QUIESCENT

@@ -45,6 +45,11 @@ class Send:
     payload: Message
 
 
+def to_all(n: int, payload: Message) -> list[Send]:
+    """One Send of payload to each of the n processes, self included."""
+    return [Send(dest, payload) for dest in range(n)]
+
+
 @dataclass(frozen=True)
 class RDeliver:
     """A broadcast instance that completed at this node."""
@@ -106,7 +111,7 @@ class ReliableBroadcast:
                 f"broadcast sn {sn} is not consecutive "
                 f"(last used {self.last_broadcast_sn})")
         self.last_broadcast_sn = sn
-        return self._to_all(App(value, sn))
+        return to_all(self.n, App(value, sn))
 
     # -- server side ------------------------------------------------------
 
@@ -150,16 +155,13 @@ class ReliableBroadcast:
 
     # -- internals --------------------------------------------------------
 
-    def _to_all(self, payload: Message) -> list[Send]:
-        return [Send(dest, payload) for dest in range(self.n)]
-
     def _emit_echo(self, origin: int, value: Value, sn: int) -> list[Send]:
         self.echoed.add((origin, sn))
-        return self._to_all(Echo(origin, value, sn))
+        return to_all(self.n, Echo(origin, value, sn))
 
     def _emit_ready(self, origin: int, value: Value, sn: int) -> list[Send]:
         self.readied.add((origin, value, sn))
-        return self._to_all(Ready(origin, value, sn))
+        return to_all(self.n, Ready(origin, value, sn))
 
     def _deliver_ready_instances(self, origin: int) -> list[Send | RDeliver]:
         """Deliver everything at the head of origin's sequence, in order."""

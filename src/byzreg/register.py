@@ -31,7 +31,8 @@ from .errors import ProtocolMisuseError
 from .messages import (App, CatchUp, CatchUpDone, Echo, Message, ReadReq,
                        Ready, StateReply, Value, WriteDone)
 from .mutations import NO_CATCH_UP, NO_FRESHNESS, READ_QUORUM_MINUS_ONE
-from .rbcast import DEFAULT_PENDING_CAP, RDeliver, ReliableBroadcast, Send
+from .rbcast import (DEFAULT_PENDING_CAP, RDeliver, ReliableBroadcast, Send,
+                     to_all)
 
 PHASE_FRESHNESS = "FRESHNESS"
 PHASE_CATCH_UP = "CATCH_UP"
@@ -113,20 +114,23 @@ class RegisterNode:
         self.write_buffer: dict[int, dict[int, Value]] = {j: {} for j in range(n)}
         # catch-up requests waiting for the local copy to reach their sn
         self.catchup_waiting: list[tuple[int, int, int]] = []
+        self._digest: tuple | None = None  # see digest()
 
     # -- client operations --------------------------------------------------
 
     def begin_write(self, value: Value) -> list[Effect]:
         self._require_idle("write")
         self.write_sn += 1
+        self._digest = None
         self.pending_write = PendingWrite(self.write_sn, value)
         return list(self.rb.broadcast(value, self.write_sn))
 
     def begin_read(self, target: int) -> list[Effect]:
         self._require_idle("read")
         self.read_sn[target] += 1
+        self._digest = None
         self.pending_read = PendingRead(target, self.read_sn[target])
-        return self._to_all(ReadReq(target, self.read_sn[target]))
+        return to_all(self.n, ReadReq(target, self.read_sn[target]))
 
     def _require_idle(self, kind: str) -> None:
         if self.pending_write is not None or self.pending_read is not None:
@@ -163,6 +167,7 @@ class RegisterNode:
         for eff in rb_effects:
             out.append(eff)
             if isinstance(eff, RDeliver):
+                self._digest = None  # rb.next_sn advanced
                 out.extend(self._accept_write(eff.origin, eff.value, eff.sn))
         return out
 
@@ -190,6 +195,7 @@ class RegisterNode:
         while (want := self.registers[writer].sn + 1) in buf:
             value = buf.pop(want)
             self.registers[writer] = RegEntry(value, want)
+            self._digest = None
             out.append(Apply(writer, value, want))
             out.append(Send(writer, WriteDone(want)))
             out.extend(self._release_catchups(writer))
@@ -245,7 +251,7 @@ class RegisterNode:
         if NO_CATCH_UP in self.mutations:
             return self._finish_read()
         pr.phase = PHASE_CATCH_UP
-        return self._to_all(CatchUp(pr.target, local.sn))
+        return to_all(self.n, CatchUp(pr.target, local.sn))
 
     def _on_catch_up(self, sender: int, msg: CatchUp) -> list[Effect]:
         if self.registers[msg.target].sn >= msg.sn:
@@ -282,12 +288,18 @@ class RegisterNode:
 
     # -- misc ----------------------------------------------------------------
 
-    def _to_all(self, payload: Message) -> list[Effect]:
-        return [Send(dest, payload) for dest in range(self.n)]
-
     def digest(self) -> tuple:
-        return (tuple((r.value, r.sn) for r in self.registers),
-                self.write_sn, tuple(self.read_sn), self.rb.digest())
+        """Registers, op counters and broadcast progress, as one tuple.
+
+        The tuple is cached, and the same object is returned until the
+        state it covers changes: an operation starts, a register copy
+        advances, or the broadcast layer r-delivers.
+        """
+        if self._digest is None:
+            self._digest = (tuple((r.value, r.sn) for r in self.registers),
+                            self.write_sn, tuple(self.read_sn),
+                            self.rb.digest())
+        return self._digest
 
     def guard_diagnostics(self) -> list[str]:
         """Human-readable summary of every unsatisfied guard, for stuck runs."""

@@ -115,11 +115,27 @@ class ScenarioConfig:
                     f"workload {entry.id}: needs an 'at' time or an 'after' ref")
             if entry.at is not None and entry.at < 0:
                 raise ScenarioError(f"workload {entry.id}: 'at' must be >= 0")
+        after = {entry.id: entry.after for entry in self.workload}
         for entry in self.workload:
             if entry.after is not None and entry.after not in ids:
                 raise ScenarioError(
                     f"workload {entry.id}: 'after' references unknown id "
                     f"{entry.after!r}")
+        # each entry has at most one 'after', so following the references
+        # from any entry either ends or runs into a cycle
+        acyclic: set[str] = set()
+        for entry in self.workload:
+            path: dict[str, int] = {}  # id -> position on the walk
+            op_id = entry.id
+            while op_id is not None and op_id not in acyclic:
+                if op_id in path:
+                    cycle = list(path)[path[op_id]:] + [op_id]
+                    raise ScenarioError(
+                        "workload 'after' references form a cycle, so these "
+                        f"entries can never fire: {' -> '.join(cycle)}")
+                path[op_id] = len(path)
+                op_id = after[op_id]
+            acyclic.update(path)
 
     # -- serialization -----------------------------------------------------
 

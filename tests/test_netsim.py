@@ -119,6 +119,21 @@ class TestLifecycle:
                 WorkloadOp("r1", 1, "read", target=0, after="ghost")
             ]).validate()
 
+    def test_self_referencing_after_rejected(self):
+        with pytest.raises(ScenarioError, match="cycle.*: w1 -> w1"):
+            small_scenario(workload=[
+                WorkloadOp("w1", 0, "write", value="x", after="w1")
+            ]).validate()
+
+    def test_after_cycle_rejected_and_named(self):
+        with pytest.raises(ScenarioError, match="cycle.*: r1 -> w2 -> r1"):
+            small_scenario(workload=[
+                WorkloadOp("w1", 0, "write", value="x", at=0),
+                WorkloadOp("r0", 2, "read", target=0, after="r1"),
+                WorkloadOp("r1", 1, "read", target=0, after="w2"),
+                WorkloadOp("w2", 0, "write", value="y", at=3, after="r1"),
+            ]).validate()
+
 
 class TestFairness:
     def test_starved_message_forced_at_bound(self):
