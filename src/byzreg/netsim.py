@@ -16,8 +16,8 @@ another entry ready in the same sweep: that entry starts in this sweep if
 it is listed after the current one, and in the next sweep otherwise. With
 the network empty, time jumps to the next "at" trigger. Triggers are kept
 in indexes (dependents by "after" id, a heap on "at", and per-process
-lists of entries that found their process busy), so this costs nothing per
-delivery when no entry is due, however long the workload.
+lists of entries that found their process busy), so a delivery at which
+no entry is due costs a constant-time check, however long the workload.
 
 Each run produces a trace: one structured record per event with a fixed
 field order, so a (scenario, seed) pair reproduces the identical byte
