@@ -342,7 +342,10 @@ class Simulation:
                     self._process_effects(pid, node.begin_write(entry.value))
                 else:
                     self._process_effects(pid, node.begin_read(entry.target))
-            ready.extend(passed)  # ascending, so still a heap
+            # a later Byzantine entry may have passed a lower index, so
+            # restore workload order before the next sweep
+            passed.sort()
+            ready.extend(passed)  # ready is empty here
 
     # -- main loop ------------------------------------------------------------------
 

@@ -130,7 +130,9 @@ class TestDigest:
             node.handle(sender, Ready(2, "a", 1))
         assert node.registers[2] == RegEntry("a", 1)
         changed()
-        node.on_write_rdeliver(1, "b", 1)
+        for sender in (1, 2, 3):  # and (1, "b", 1), applied at once
+            node.handle(sender, Ready(1, "b", 1))
+        assert node.registers[1] == RegEntry("b", 1)
         changed()
 
 

@@ -5,7 +5,7 @@ rescans the whole workload in sweeps until nothing more fires, and on an
 idle network it rescans for the next time trigger. The simulator must
 produce byte-identical traces for any acyclic workload.
 """
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from byzreg.netsim import (OUTCOME_BUDGET, OUTCOME_QUIESCENT, OUTCOME_STUCK,
                            Simulation, Trace)
@@ -108,16 +108,16 @@ def workloads(draw):
 
     A random rank orders the entries for the purpose of 'after' only, so
     references may point at entries listed later. The crashed Byzantine
-    process gets a double share of entries: its entries complete as they
+    process gets half of the entries: its entries complete as they
     fire, which is what makes other entries ready in mid-sweep.
     """
     size = draw(st.integers(min_value=1, max_value=9))
     rank = draw(st.permutations(range(size)))
     ops = []
     for i in range(size):
-        process = draw(st.sampled_from((0, 1, 2, BYZ, BYZ)))
+        process = draw(st.sampled_from((0, 1, 2, BYZ, BYZ, BYZ)))
         earlier = [j for j in range(size) if rank[j] < rank[i]]
-        after = draw(st.sampled_from([None, *earlier]))
+        after = draw(st.sampled_from([None, *earlier, *earlier]))
         at = draw(st.one_of(st.none(), st.just(0),
                             st.integers(min_value=0, max_value=60),
                             st.integers(min_value=200, max_value=400)))
@@ -134,12 +134,46 @@ def workloads(draw):
     return ops
 
 
-@settings(max_examples=300, deadline=None)
-@given(workloads(), st.integers(min_value=0, max_value=2 ** 16))
-def test_trigger_order_matches_reference_rescan(workload, seed):
+# Two Byzantine entries ready in one sweep, each with a dependent listed
+# before it; the later one's dependent (e0) is listed before the earlier
+# one's (e1), so both are passed and must still start as e0, e1.
+PASSED_OUT_OF_ORDER = [
+    WorkloadOp("e0", 0, op="read", target=1, after="e3"),
+    WorkloadOp("e1", 1, op="read", target=2, after="e2"),
+    WorkloadOp("e2", BYZ, op="write", value="a", at=0),
+    WorkloadOp("e3", BYZ, op="write", value="b", at=0),
+]
+# The same, with both dependents on one process: the wrong order runs a
+# different op first.
+PASSED_OUT_OF_ORDER_ONE_PROCESS = [
+    WorkloadOp("e0", 0, op="read", target=1, after="e3"),
+    WorkloadOp("e1", 0, op="write", value="w", after="e2"),
+    WorkloadOp("e2", BYZ, op="write", value="a", at=0),
+    WorkloadOp("e3", BYZ, op="write", value="b", at=0),
+]
+
+
+def config(workload, seed):
     cfg = ScenarioConfig(name="order", n=N, t=T, seed=seed, workload=workload,
                          adversary=AdversarySpec("CRASH_SILENT", (BYZ,)))
     cfg.validate()
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(workloads(), st.integers(min_value=0, max_value=2 ** 16))
+@example(PASSED_OUT_OF_ORDER, 0)
+@example(PASSED_OUT_OF_ORDER_ONE_PROCESS, 0)
+def test_trigger_order_matches_reference_rescan(workload, seed):
+    cfg = config(workload, seed)
     ref = ReferenceSimulation(cfg).run()
     got = Simulation(cfg).run()
     assert got.jsonl() == ref.jsonl()
+
+
+def test_entries_passed_in_one_sweep_start_in_workload_order():
+    for workload in (PASSED_OUT_OF_ORDER, PASSED_OUT_OF_ORDER_ONE_PROCESS):
+        trace = Simulation(config(workload, 0)).run()
+        starts = [e["payload"]["id"] for e in trace.events
+                  if e["kind"] == "OP_START"]
+        assert starts == ["e0", "e1"]
