@@ -3,6 +3,7 @@
 Synthetic traces let each verifier be pointed at a violation directly,
 so the failure detectors are exercised without needing a broken protocol.
 """
+import collections
 import itertools
 
 import pytest
@@ -16,7 +17,7 @@ from byzreg.checker import (FAIL, PASS, VACUOUS, History, LinItem,
                             quorum_intersection_holds, run_all_checks,
                             validate_linearization)
 from byzreg.netsim import Simulation, Trace
-from byzreg.scenario import ScenarioConfig, WorkloadOp
+from byzreg.scenario import ScenarioConfig, WorkloadOp, matrix_scenario
 
 
 def make_trace(events, n=4, t=1, byz=(), outcome="QUIESCENT"):
@@ -321,6 +322,62 @@ class TestCostAccounting:
             "READ": 4, "STATE": 4, "CATCH_UP": 4, "CATCH_UP_DONE": 4}
         assert report.verdict.status == PASS
         assert report.unattributed == 0
+
+
+    def test_catch_up_attribution_matches_linear_walk(self):
+        """Catch-up sends go to the requester's latest read of that register
+        started at or before the send, as a walk over all its reads finds."""
+        length = 12
+        ops = []
+        for writer in (0, 1):
+            ops += [WorkloadOp(f"w{writer}.{k}", writer, "write", value=k,
+                               **({"at": 0} if k == 1
+                                  else {"after": f"w{writer}.{k - 1}"}))
+                    for k in range(1, length + 1)]
+        for p in range(2, 7):
+            ops += [WorkloadOp(f"r{p}.{k}", p, "read", target=k % 2,
+                               **({"at": p} if k == 1
+                                  else {"after": f"r{p}.{k - 1}"}))
+                    for k in range(1, length + 1)]
+        cfg = ScenarioConfig(name="chained", n=7, t=2, seed=3, workload=ops)
+        cfg.validate()
+        trace = Simulation(cfg).run()
+        history = derive_histories(trace)
+        reads = sorted((op for op in history.ops if op.kind == "READ"),
+                       key=lambda o: o.start_seq)
+        correct = set(trace.correct_nodes())
+        expected = collections.Counter()
+        for event in trace.events:
+            tag = event["payload"].get("tag")
+            if (event["kind"] != "SEND" or event["sender"] not in correct
+                    or tag not in ("CATCH_UP", "CATCH_UP_DONE")):
+                continue
+            reader = event["sender"] if tag == "CATCH_UP" else event["receiver"]
+            owner = None
+            for op in reads:
+                if (op.invoker == reader
+                        and op.target == event["payload"]["target"]
+                        and op.start_seq <= event["seq"]):
+                    owner = op.op_id
+            if owner is not None:
+                expected[(owner, tag)] += 1
+        report = count_messages(trace, history)
+        got = collections.Counter({
+            (op_id, tag): count for op_id, cost in report.per_op.items()
+            for tag, count in cost.counts.items()
+            if tag in ("CATCH_UP", "CATCH_UP_DONE")})
+        assert len(reads) == 5 * length
+        assert got == expected
+
+
+class TestPayloadsReadOnly:
+    @pytest.mark.parametrize("strategy", [None, "EQUIVOCATE_WRITE",
+                                          "READY_POISON", "COLLUDE_DELAY"])
+    def test_checks_leave_the_trace_unchanged(self, strategy):
+        trace = Simulation(matrix_scenario(7, strategy, seed=1)).run()
+        before = trace.trace_hash()
+        run_all_checks(trace)
+        assert trace.trace_hash() == before
 
 
 class TestQuorumArithmetic:

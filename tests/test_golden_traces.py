@@ -24,6 +24,9 @@ MATRIX_STRATEGIES = (None, "CRASH_SILENT", "EQUIVOCATE_WRITE", "SEQ_SKIP",
                      "STALE_STATE", "ACK_FORGE", "READY_POISON",
                      "COLLUDE_DELAY")
 MATRIX_SEEDS = range(3)
+# n=10 poison keeps up to ~300 messages in flight; n=13 poison floods to the
+# step budget with ~23k in flight, so it runs unresized to cover that backlog
+LARGE_MATRIX_SEEDS = range(2)
 
 
 def chained_reads(length: int = 20) -> ScenarioConfig:
@@ -82,6 +85,12 @@ def cases() -> dict[str, ScenarioConfig]:
             for seed in MATRIX_SEEDS:
                 cfg = matrix_scenario(n, strategy, seed)
                 out[f"{cfg.name}/{seed}"] = cfg
+    for strategy in MATRIX_STRATEGIES:
+        for seed in LARGE_MATRIX_SEEDS:
+            cfg = matrix_scenario(10, strategy, seed)
+            out[f"{cfg.name}/{seed}"] = cfg
+    flood = matrix_scenario(13, "READY_POISON", 0)
+    out[f"{flood.name}/0"] = flood
     for cfg in (chained_reads(), wide_writes(), byzantine_chain()):
         out[f"{cfg.name}/0"] = cfg
     return out

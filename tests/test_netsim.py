@@ -6,7 +6,7 @@ import pytest
 
 from byzreg.errors import ScenarioError, SimulationClosedError
 from byzreg.messages import WriteDone
-from byzreg.netsim import Simulation
+from byzreg.netsim import PendingMessage, Simulation, _InFlightPool
 from byzreg.rbcast import Send
 from byzreg.scenario import AdversarySpec, ScenarioConfig, WorkloadOp
 
@@ -133,6 +133,29 @@ class TestLifecycle:
                 WorkloadOp("r1", 1, "read", target=0, after="w2"),
                 WorkloadOp("w2", 0, "write", value="y", at=3, after="r1"),
             ]).validate()
+
+
+class TestInFlightPool:
+    @staticmethod
+    def pool_of(count):
+        pool = _InFlightPool()
+        for mid in range(count):
+            pool.add(PendingMessage(mid, 0, 1, WriteDone(mid), mid))
+        return pool
+
+    def test_oldest_after_out_of_order_removals(self):
+        pool = self.pool_of(6)
+        for mid in (2, 0, 4):
+            pool.remove(mid)
+        assert pool.oldest().id == 1
+        pool.remove(1)
+        assert pool.oldest().id == 3
+        pool.add(PendingMessage(6, 0, 1, WriteDone(6), 6))
+        pool.remove(3)
+        assert pool.oldest().id == 5
+        pool.remove(5)
+        assert pool.oldest().id == 6
+        assert len(pool) == 1
 
 
 class TestFairness:
