@@ -3,9 +3,12 @@
 A strategy instance controls every faulty node of a run (at most t of
 them). It sees exactly what the model allows: messages delivered to its
 nodes, its own workload triggers, and, under the ADVERSARIAL_REORDER
-scheduling policy, the multiset of in-flight messages, which it may
-inspect and reorder but never alter. It cannot forge another process's
-sender identity; the simulator stamps senders itself.
+scheduling policy, every message as it is sent. A strategy with a
+``delivery_rank`` method ranks each message once, at its send; the
+simulator then delivers the lowest-ranked message in flight next, unless
+the fairness bound forces an older one. A rank may reorder messages but
+never alter them. A strategy cannot forge another process's sender
+identity; the simulator stamps senders itself.
 
 Every strategy is a deterministic function of (scenario seed, inputs), so
 runs containing Byzantine nodes replay byte-identically.
@@ -33,6 +36,13 @@ class AdversaryStrategy:
         self.t = t
         self.params = dict(params)
         self.rng = random.Random(f"{seed}:{self.name}")
+        # one object per node, so the simulator's snapshot cache hits
+        self._digests = {pid: (self.name, pid) for pid in self.nodes}
+
+    # Under ADVERSARIAL_REORDER, a method mapping a netsim.PendingMessage to
+    # a rank (lowest delivered first), called once per send. None keeps
+    # delivery uniformly random.
+    delivery_rank = None
 
     def on_workload(self, pid: int, entry: WorkloadOp) -> list[Send]:
         return []
@@ -40,12 +50,8 @@ class AdversaryStrategy:
     def on_deliver(self, pid: int, sender: int, payload: Message) -> list[Send]:
         return []
 
-    def pick_delivery(self, candidates):
-        """Scheduling bias hook; return a message id or None for no bias."""
-        return None
-
     def digest(self, pid: int) -> tuple:
-        return (self.name, pid)
+        return self._digests[pid]
 
 
 class CrashSilent(AdversaryStrategy):
@@ -181,14 +187,16 @@ class ReadyPoison(AdversaryStrategy):
         super().__init__(nodes, n, t, seed, params)
         self.origin = int(params.get("origin", 0))
         self.counter = 0
+        # votes cycle through sn 1..4; poison[i] carries sn i+1
+        self.poison = [Ready(self.origin, self.poison_value, sn)
+                       for sn in range(1, 5)]
 
     def on_deliver(self, pid, sender, payload):
         self.counter += 1
-        sn = 1 + self.counter % 4
+        vote = self.poison[self.counter % 4]
         k = max(1, self.t)  # strictly fewer than t+1 targets
         targets = self.rng.sample(range(self.n), k)
-        return [Send(dest, Ready(self.origin, self.poison_value, sn))
-                for dest in targets]
+        return [Send(dest, vote) for dest in targets]
 
 
 class ColludeDelay(AdversaryStrategy):
@@ -212,6 +220,7 @@ class ColludeDelay(AdversaryStrategy):
         self.favored = int(params.get("favored", 0))
         self.victim = params.get("victim")
         self.inner = {pid: RegisterNode(pid, n, t) for pid in nodes}
+        self._wrapped: dict[int, tuple] = {}  # pid -> last digest()
 
     def _sends_only(self, effects) -> list[Send]:
         return [e for e in effects if isinstance(e, Send)]
@@ -228,22 +237,22 @@ class ColludeDelay(AdversaryStrategy):
         effects = self.inner[pid].handle(sender, payload)
         return self._sends_only(effects)
 
-    def pick_delivery(self, candidates):
-        def klass(m):
-            tag = m.payload.tag
-            if tag in ("APP", "ECHO"):
+    def delivery_rank(self, msg) -> int:
+        tag = msg.payload.tag
+        if tag in ("APP", "ECHO"):
+            return 0
+        if tag == "READY":
+            if msg.receiver == self.favored:
                 return 0
-            if tag == "READY":
-                if m.receiver == self.favored:
-                    return 0
-                return 3 if m.receiver == self.victim else 2
-            return 1
-
-        best = min(candidates, key=lambda m: (klass(m), m.id))
-        return best.id
+            return 3 if msg.receiver == self.victim else 2
+        return 1
 
     def digest(self, pid):
-        return (self.name, pid, self.inner[pid].digest())
+        inner = self.inner[pid].digest()
+        wrapped = self._wrapped.get(pid)
+        if wrapped is None or wrapped[2] is not inner:
+            wrapped = self._wrapped[pid] = (self.name, pid, inner)
+        return wrapped
 
 
 STRATEGIES: dict[str, type[AdversaryStrategy]] = {

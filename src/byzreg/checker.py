@@ -28,6 +28,7 @@ the violation, so it can be replayed against the stored trace.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -565,7 +566,8 @@ def count_messages(trace: Trace, history: History | None = None) -> CostReport:
 
     write_key: dict[tuple[int, int], str] = {}
     read_key: dict[tuple[int, int, int], str] = {}
-    reader_ops: dict[int, list[OperationRecord]] = {}
+    # (reader, target) -> start seqs and op ids of its reads, in start order
+    read_starts: dict[tuple[int, int], tuple[list[int], list[str]]] = {}
     per_op: dict[str, OpCost] = {}
     rsn_counter: dict[tuple[int, int], int] = {}
     for op in sorted(history.ops, key=lambda o: o.start_seq):
@@ -577,16 +579,18 @@ def count_messages(trace: Trace, history: History | None = None) -> CostReport:
             rsn = rsn_counter.get((op.invoker, op.target), 0) + 1
             rsn_counter[(op.invoker, op.target)] = rsn
             read_key[(op.invoker, op.target, rsn)] = op.op_id
-            reader_ops.setdefault(op.invoker, []).append(op)
+            starts, ids = read_starts.setdefault((op.invoker, op.target),
+                                                 ([], []))
+            starts.append(op.start_seq)
+            ids.append(op.op_id)
 
     unattributed = 0
 
     def read_op_at(invoker: int, target: int, seq: int) -> str | None:
-        best = None
-        for op in reader_ops.get(invoker, []):
-            if op.target == target and op.start_seq <= seq:
-                best = op.op_id
-        return best
+        """The invoker's latest read of target started at or before seq."""
+        starts, ids = read_starts.get((invoker, target), ((), ()))
+        i = bisect.bisect_right(starts, seq)
+        return ids[i - 1] if i else None
 
     for event in trace.events:
         if event["kind"] != "SEND" or event["sender"] not in correct:

@@ -27,9 +27,17 @@ class Message:
     tag: ClassVar[str] = "?"
 
     def to_wire(self) -> dict:
-        wire = {"tag": self.tag}
-        for name in _field_names(type(self)):
-            wire[name] = getattr(self, name)
+        """The trace payload: tag, then fields in declaration order.
+
+        Built once per message object and shared by every event that
+        carries it, so callers must not modify it.
+        """
+        wire = self.__dict__.get("_wire")
+        if wire is None:
+            wire = {"tag": self.tag}
+            for name in _field_names(type(self)):
+                wire[name] = getattr(self, name)
+            self.__dict__["_wire"] = wire  # frozen: bypass __setattr__
         return wire
 
 

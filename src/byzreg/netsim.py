@@ -5,7 +5,8 @@ asynchronous channels. Nothing is ever lost or corrupted; asynchrony is
 modeled by letting a scheduler pick any in-flight message to deliver next.
 A fairness bound keeps transit times finite: once a message has been
 passed over that many times it is delivered before any fresher one, oldest
-first.
+first. Under ADVERSARIAL_REORDER a strategy may rank each message once,
+when it is sent; the lowest-ranked message in flight goes next.
 
 Logical time is the number of deliveries so far. Before each delivery
 the simulator starts every workload entry that has become ready: its
@@ -26,6 +27,10 @@ digest of the node it happened at, as that digest stands when the record
 is written (so a DELIVER or OP_START shows the state before the node
 handles its input). It is recomputed only when the digest changes. The
 trace is the only input the checker ever looks at.
+
+A record's "payload" dict is shared: a message's SEND and DELIVER records,
+and the SENDs of one message object to many receivers, all hold the same
+dict. Treat payloads as read-only.
 """
 from __future__ import annotations
 
@@ -61,12 +66,17 @@ class PendingMessage:
 
 
 class _InFlightPool:
-    """In-flight message multiset with O(1) oldest/random access."""
+    """In-flight message multiset with amortized O(1) oldest, O(1) random.
+
+    Message ids must be added in increasing order, as the simulator
+    issues them.
+    """
 
     def __init__(self):
         self._by_id: dict[int, PendingMessage] = {}
         self._order: list[int] = []
         self._pos: dict[int, int] = {}
+        self._low = 0  # no id below this is still in flight
 
     def __len__(self):
         return len(self._by_id)
@@ -86,21 +96,20 @@ class _InFlightPool:
         return msg
 
     def oldest(self) -> PendingMessage:
-        return next(iter(self._by_id.values()))
+        by_id = self._by_id
+        if not by_id:
+            raise IndexError("oldest() on an empty pool")
+        low = self._low
+        while low not in by_id:
+            low += 1
+        self._low = low
+        return by_id[low]
 
     def pick_random(self, rng: random.Random) -> PendingMessage:
         return self._by_id[self._order[rng.randrange(len(self._order))]]
 
     def get(self, mid: int) -> PendingMessage | None:
         return self._by_id.get(mid)
-
-    def snapshot(self) -> list[PendingMessage]:
-        """Every in-flight message, in id order.
-
-        Ids are issued in increasing order and dicts keep insertion order,
-        so the values are already sorted.
-        """
-        return list(self._by_id.values())
 
 
 @dataclass
@@ -115,6 +124,8 @@ class Trace:
     byzantine: tuple[int, ...]
     outcome: str
     expect_nonterminating: bool
+    # one dict per event, in seq order; payload dicts are shared between
+    # events (see the module docstring) and must be treated as read-only
     events: list[dict] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
@@ -166,6 +177,10 @@ class Simulation:
             for pid in range(self.n) if pid not in self.byzantine
         }
         self.pool = _InFlightPool()
+        # ADVERSARIAL_REORDER: heap of (strategy rank, id), ranked at send
+        self._ranked: list[tuple] = []
+        self._reorder = (scenario.scheduler == "ADVERSARIAL_REORDER"
+                         and self.strategy is not None)
         self.time = 0
         self._seq = 0
         self._next_mid = 0
@@ -225,7 +240,12 @@ class Simulation:
             raise ValueError("sender/receiver out of range")
         mid = self._next_mid
         self._next_mid += 1
-        self.pool.add(PendingMessage(mid, sender, receiver, payload, self.time))
+        msg = PendingMessage(mid, sender, receiver, payload, self.time)
+        self.pool.add(msg)
+        if self._reorder:
+            rank = self.strategy.delivery_rank
+            if rank is not None:
+                heapq.heappush(self._ranked, (rank(msg), mid))
         self._record("SEND", sender, sender, receiver, payload.to_wire())
         return mid
 
@@ -233,18 +253,15 @@ class Simulation:
         oldest = self.pool.oldest()
         if self.time - oldest.enqueue_time >= self.scenario.fairness_bound:
             return oldest
-        policy = self.scenario.scheduler
-        if policy == "FIFO":
+        if self.scenario.scheduler == "FIFO":
             return oldest
-        if policy == "RANDOM":
-            return self.pool.pick_random(self.rng)
-        # ADVERSARIAL_REORDER: the adversary inspects the in-flight multiset
-        if self.strategy is not None:
-            mid = self.strategy.pick_delivery(self.pool.snapshot())
-            if mid is not None:
-                msg = self.pool.get(mid)
-                if msg is not None:
-                    return msg
+        # only ADVERSARIAL_REORDER with a ranking strategy fills the heap:
+        # lowest rank first, skipping ids the fairness rule already delivered
+        ranked = self._ranked
+        while ranked:
+            msg = self.pool.get(heapq.heappop(ranked)[1])
+            if msg is not None:
+                return msg
         return self.pool.pick_random(self.rng)
 
     # -- node effects -----------------------------------------------------------

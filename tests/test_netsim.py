@@ -157,6 +157,13 @@ class TestInFlightPool:
         assert pool.oldest().id == 6
         assert len(pool) == 1
 
+    def test_oldest_of_empty_pool_raises(self):
+        pool = self.pool_of(2)
+        pool.remove(0)
+        pool.remove(1)
+        with pytest.raises(IndexError):
+            pool.oldest()
+
 
 class TestFairness:
     def test_starved_message_forced_at_bound(self):
@@ -166,7 +173,7 @@ class TestFairness:
             adversary=AdversarySpec("COLLUDE_DELAY", (3,), {"favored": 1}))
         sim = Simulation(cfg)
         # adversary that always starves the oldest message
-        sim.strategy.pick_delivery = lambda cands: max(c.id for c in cands)
+        sim.strategy.delivery_rank = lambda m: -m.id
         victim_id = None
         while True:
             event = sim.step()
