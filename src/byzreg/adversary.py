@@ -220,7 +220,8 @@ class ColludeDelay(AdversaryStrategy):
         self.favored = int(params.get("favored", 0))
         self.victim = params.get("victim")
         self.inner = {pid: RegisterNode(pid, n, t) for pid in nodes}
-        self._wrapped: dict[int, tuple] = {}  # pid -> last digest()
+        self._digests = {pid: (self.name, pid, node.digest())
+                         for pid, node in self.inner.items()}
 
     def _sends_only(self, effects) -> list[Send]:
         return [e for e in effects if isinstance(e, Send)]
@@ -249,9 +250,9 @@ class ColludeDelay(AdversaryStrategy):
 
     def digest(self, pid):
         inner = self.inner[pid].digest()
-        wrapped = self._wrapped.get(pid)
-        if wrapped is None or wrapped[2] is not inner:
-            wrapped = self._wrapped[pid] = (self.name, pid, inner)
+        wrapped = self._digests[pid]
+        if wrapped[2] is not inner:
+            wrapped = self._digests[pid] = (self.name, pid, inner)
         return wrapped
 
 

@@ -204,7 +204,7 @@ class Simulation:
 
     def _snapshot(self, pid: int) -> str:
         if pid in self.byzantine:
-            digest = self.strategy.digest(pid) if self.strategy else ("?", pid)
+            digest = self.strategy.digest(pid)  # set whenever pid is Byzantine
         else:
             digest = self.nodes[pid].digest()
         cached = self._snapshots.get(pid)

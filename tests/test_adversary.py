@@ -109,3 +109,24 @@ class TestDeterminism:
         cfg = matrix_scenario(4, strategy, seed=5)
         assert (Simulation(cfg).run().trace_hash()
                 == Simulation(cfg).run().trace_hash())
+
+
+class TestDigest:
+    """Digests stay the same object while unchanged, so snapshots are cached."""
+
+    @pytest.mark.parametrize("strategy", sorted(set(STRATEGIES)
+                                                - {"COLLUDE_DELAY"}))
+    def test_one_object_per_node(self, strategy):
+        adv = STRATEGIES[strategy]((3,), 4, 1, 0, {})
+        assert adv.digest(3) == (strategy, 3)
+        assert adv.digest(3) is adv.digest(3)
+
+    def test_collude_digest_follows_its_inner_node(self):
+        adv = STRATEGIES["COLLUDE_DELAY"]((3,), 4, 1, 0, {})
+        before = adv.digest(3)
+        assert adv.digest(3) is before
+        adv.on_workload(3, WorkloadOp("w", 3, "write", value="x", at=0))
+        after = adv.digest(3)
+        assert after != before
+        assert after == ("COLLUDE_DELAY", 3, adv.inner[3].digest())
+        assert adv.digest(3) is after
