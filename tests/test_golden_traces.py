@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from byzreg.cli import bundled_scenario_names, resolve_scenario
+from byzreg.mutations import ALL_MUTATIONS
 from byzreg.netsim import Simulation
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
                              matrix_scenario)
@@ -89,6 +90,11 @@ def cases() -> dict[str, ScenarioConfig]:
         for seed in LARGE_MATRIX_SEEDS:
             cfg = matrix_scenario(10, strategy, seed)
             out[f"{cfg.name}/{seed}"] = cfg
+    for n in MATRIX_SIZES:
+        for strategy in MATRIX_STRATEGIES:
+            for m in ALL_MUTATIONS:
+                cfg = matrix_scenario(n, strategy, 0, mutations=frozenset({m}))
+                out[f"{cfg.name}+{m.lower()}/0"] = cfg
     flood = matrix_scenario(13, "READY_POISON", 0)
     out[f"{flood.name}/0"] = flood
     for cfg in (chained_reads(), wide_writes(), byzantine_chain()):
