@@ -573,8 +573,8 @@ def count_messages(trace: Trace, history: History | None = None) -> CostReport:
     for op in sorted(history.ops, key=lambda o: o.start_seq):
         per_op[op.op_id] = OpCost(op.op_id, op.kind, op.invoker)
         if op.kind == "WRITE":
-            write_key[(op.invoker, op.index if op.index is not None
-                       else _next_wsn(write_key, op.invoker))] = op.op_id
+            # _collect_ops numbers every write, completed or not
+            write_key[(op.invoker, op.index)] = op.op_id
         else:
             rsn = rsn_counter.get((op.invoker, op.target), 0) + 1
             rsn_counter[(op.invoker, op.target)] = rsn
@@ -638,10 +638,6 @@ def count_messages(trace: Trace, history: History | None = None) -> CostReport:
             verdict = Verdict("message-cost", PASS,
                               f"{len(completed)} operations within bounds")
     return CostReport(per_op=per_op, unattributed=unattributed, verdict=verdict)
-
-
-def _next_wsn(write_key: dict, invoker: int) -> int:
-    return 1 + sum(1 for (w, _sn) in write_key if w == invoker)
 
 
 # ---------------------------------------------------------------------------

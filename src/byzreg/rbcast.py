@@ -20,9 +20,10 @@ Per broadcast instance (origin, sn) the machine goes through three rounds:
 
 Deliveries from one origin happen in sequence-number order with no gaps:
 an instance whose READY quorum is complete waits until all lower numbers
-from that origin have been delivered. A node's own broadcast loops back
-through the normal delivery path, so a node votes for itself the same way
-it votes for anyone else.
+from that origin have been delivered. This is the only layer that orders
+deliveries; the register applies each one as it arrives. A node's own
+broadcast loops back through the normal delivery path, so a node votes for
+itself the same way it votes for anyone else.
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ from .errors import ProtocolMisuseError
 from .messages import App, Echo, Message, Ready, Value
 from .mutations import ECHO_THRESHOLD_NONSTRICT, READY_DELIVER_AT_2T
 
-DEFAULT_PENDING_CAP = 1024
+# future APPs buffered per origin, besides the head instance
+PENDING_CAP = 1024
 
 _NOTHING = object()
 
@@ -62,32 +64,34 @@ class RDeliver:
 class ReliableBroadcast:
     """Broadcast endpoint for one process.
 
-    State kept per origin: the next deliverable sequence number, the first
-    APP value seen per instance (later APPs for the same instance are
-    dropped, whatever they carry), and distinct-sender vote sets keyed by
-    (origin, value, sn) so an equivocating origin splits its own votes.
-    Bookkeeping for an instance is retired as soon as it delivers.
+    State kept per origin: the next deliverable sequence number (the head)
+    and the first APP value seen per instance; later APPs for the same
+    instance are dropped, whatever they carry. The head instance has been
+    echoed exactly when its APP is recorded, and no recorded APP is below
+    the head.
 
-    APP messages arriving ahead of the expected sequence number are
-    buffered; at most pending_cap instances are held per origin, oldest
+    State kept per instance (origin, sn): distinct-sender ECHO and READY
+    sets and the values this node sent READY for, each keyed by value so
+    an equivocating origin splits its own votes. An instance's entries are
+    retired as soon as it delivers.
+
+    APP messages arriving ahead of the head are buffered; at most
+    PENDING_CAP instances are held per origin besides the head, oldest
     dropped first, so a flooding origin cannot exhaust memory.
     """
 
     def __init__(self, node_id: int, n: int, t: int, *,
-                 mutations: frozenset[str] = frozenset(),
-                 pending_cap: int = DEFAULT_PENDING_CAP):
+                 mutations: frozenset[str] = frozenset()):
         self.node_id = node_id
         self.n = n
         self.t = t
         self.mutations = frozenset(mutations)
-        self.pending_cap = pending_cap
         self.next_sn = [1] * n
         self.last_broadcast_sn = 0
         self.first_app: dict[int, dict[int, Value]] = {i: {} for i in range(n)}
-        self.echoed: set[tuple[int, int]] = set()
-        self.readied: set[tuple[int, Value, int]] = set()
-        self.echo_senders: dict[tuple[int, Value, int], set[int]] = {}
-        self.ready_senders: dict[tuple[int, Value, int], set[int]] = {}
+        self.echo_senders: dict[tuple[int, int], dict[Value, set[int]]] = {}
+        self.ready_senders: dict[tuple[int, int], dict[Value, set[int]]] = {}
+        self.readied: dict[tuple[int, int], set[Value]] = {}
 
     # -- thresholds -------------------------------------------------------
 
@@ -117,21 +121,26 @@ class ReliableBroadcast:
 
     def on_app(self, origin: int, value: Value, sn: int) -> list[Send | RDeliver]:
         """First APP for (origin, sn) is recorded; duplicates are dropped."""
-        if sn in self.first_app[origin] or sn < self.next_sn[origin]:
+        apps = self.first_app[origin]
+        head = self.next_sn[origin]
+        if sn in apps or sn < head:
             return []
-        self.first_app[origin][sn] = value
-        if self.next_sn[origin] == sn:
-            return self._emit_echo(origin, value, sn)
-        self._enforce_pending_cap(origin)
+        apps[sn] = value
+        if sn == head:
+            return to_all(self.n, Echo(origin, value, sn))
+        if len(apps) - (head in apps) > PENDING_CAP:
+            # arrival order == dict insertion order; drop the oldest waiter
+            del apps[next(s for s in apps if s != head)]
         return []
 
     def on_echo(self, origin: int, value: Value, sn: int,
                 sender: int) -> list[Send | RDeliver]:
         if sn < self.next_sn[origin]:
             return []
-        senders = self.echo_senders.setdefault((origin, value, sn), set())
+        senders = self.echo_senders.setdefault((origin, sn), {}).setdefault(
+            value, set())
         senders.add(sender)
-        if self._echo_quorum(len(senders)) and (origin, value, sn) not in self.readied:
+        if self._echo_quorum(len(senders)):
             return self._emit_ready(origin, value, sn)
         return []
 
@@ -139,67 +148,52 @@ class ReliableBroadcast:
                  sender: int) -> list[Send | RDeliver]:
         if sn < self.next_sn[origin]:
             return []
-        senders = self.ready_senders.setdefault((origin, value, sn), set())
+        senders = self.ready_senders.setdefault((origin, sn), {}).setdefault(
+            value, set())
         senders.add(sender)
         out: list[Send | RDeliver] = []
-        if len(senders) >= self.t + 1 and (origin, value, sn) not in self.readied:
+        if len(senders) >= self.t + 1:
             out.extend(self._emit_ready(origin, value, sn))
         out.extend(self._deliver_ready_instances(origin))
         return out
-
-    def has_delivered(self, origin: int, sn: int) -> bool:
-        return sn < self.next_sn[origin]
 
     def digest(self) -> tuple:
         return (tuple(self.next_sn), self.last_broadcast_sn)
 
     # -- internals --------------------------------------------------------
 
-    def _emit_echo(self, origin: int, value: Value, sn: int) -> list[Send]:
-        self.echoed.add((origin, sn))
-        return to_all(self.n, Echo(origin, value, sn))
-
     def _emit_ready(self, origin: int, value: Value, sn: int) -> list[Send]:
-        self.readied.add((origin, value, sn))
+        """READY for (origin, value, sn), unless this node already sent it."""
+        sent = self.readied.setdefault((origin, sn), set())
+        if value in sent:
+            return []
+        sent.add(value)
         return to_all(self.n, Ready(origin, value, sn))
 
     def _deliver_ready_instances(self, origin: int) -> list[Send | RDeliver]:
         """Deliver everything at the head of origin's sequence, in order."""
         out: list[Send | RDeliver] = []
+        apps = self.first_app[origin]
         while True:
             sn = self.next_sn[origin]
             value = self._ready_complete_value(origin, sn)
             if value is _NOTHING:
                 break
             self.next_sn[origin] = sn + 1
-            self._retire(origin, sn)
+            key = (origin, sn)
+            apps.pop(sn, None)
+            self.echo_senders.pop(key, None)
+            self.ready_senders.pop(key, None)
+            self.readied.pop(key, None)
             out.append(RDeliver(origin, value, sn))
-            head = self.next_sn[origin]
-            if head in self.first_app[origin] and (origin, head) not in self.echoed:
-                out.extend(self._emit_echo(origin, self.first_app[origin][head], head))
+            if sn + 1 in apps:  # the new head's APP arrived early: echo it now
+                out.extend(to_all(self.n, Echo(origin, apps[sn + 1], sn + 1)))
         return out
 
     def _ready_complete_value(self, origin: int, sn: int):
+        """First value, in vote arrival order, with a delivery quorum."""
         quorum = self._deliver_quorum()
-        for (o, value, s), senders in self.ready_senders.items():
-            if o == origin and s == sn and len(senders) >= quorum:
+        for value, senders in self.ready_senders.get((origin, sn), {}).items():
+            if len(senders) >= quorum:
                 return value
         return _NOTHING
-
-    def _retire(self, origin: int, sn: int) -> None:
-        self.first_app[origin].pop(sn, None)
-        self.echoed.discard((origin, sn))
-        for table in (self.echo_senders, self.ready_senders):
-            stale = [k for k in table if k[0] == origin and k[2] == sn]
-            for k in stale:
-                del table[k]
-        self.readied = {k for k in self.readied
-                        if not (k[0] == origin and k[2] == sn)}
-
-    def _enforce_pending_cap(self, origin: int) -> None:
-        buffered = [s for s in self.first_app[origin]
-                    if (origin, s) not in self.echoed]
-        if len(buffered) <= self.pending_cap:
-            return
-        # arrival order == dict insertion order; drop the oldest waiter
-        del self.first_app[origin][buffered[0]]

@@ -18,8 +18,10 @@ sequence number and returns once n-t distinct processes confirm their copy
 has caught up. The second round is what rules out a later read returning
 an older value than an earlier, non-overlapping read.
 
-All three protocol waits (apply-in-order, freshness, catch-up) are
-deferred guards: the triggering input is buffered and the guard re-checked
+Writes are applied in each writer's sequence order without a buffer here:
+the broadcast layer r-delivers every writer's instances exactly once, in
+order, with no gaps. The two protocol waits (freshness, catch-up) are
+deferred guards: the triggering input is kept and the guard re-checked
 whenever the watched state changes, so the node keeps serving messages
 while "blocked".
 """
@@ -31,11 +33,7 @@ from .errors import ProtocolMisuseError
 from .messages import (App, CatchUp, CatchUpDone, Echo, Message, ReadReq,
                        Ready, StateReply, Value, WriteDone)
 from .mutations import NO_CATCH_UP, NO_FRESHNESS, READ_QUORUM_MINUS_ONE
-from .rbcast import (DEFAULT_PENDING_CAP, RDeliver, ReliableBroadcast, Send,
-                     to_all)
-
-PHASE_FRESHNESS = "FRESHNESS"
-PHASE_CATCH_UP = "CATCH_UP"
+from .rbcast import RDeliver, ReliableBroadcast, Send, to_all
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,8 @@ class PendingWrite:
 class PendingRead:
     target: int
     rsn: int
-    phase: str = PHASE_FRESHNESS
     reports: dict[int, int] = field(default_factory=dict)
-    chosen: RegEntry | None = None
+    chosen: RegEntry | None = None  # set when the freshness round ends
     acks: set[int] = field(default_factory=set)
 
 
@@ -95,14 +92,12 @@ class RegisterNode:
 
     def __init__(self, node_id: int, n: int, t: int, *,
                  initial_values=None,
-                 mutations: frozenset[str] = frozenset(),
-                 pending_cap: int = DEFAULT_PENDING_CAP):
+                 mutations: frozenset[str] = frozenset()):
         self.node_id = node_id
         self.n = n
         self.t = t
         self.mutations = frozenset(mutations)
-        self.rb = ReliableBroadcast(node_id, n, t, mutations=self.mutations,
-                                    pending_cap=pending_cap)
+        self.rb = ReliableBroadcast(node_id, n, t, mutations=self.mutations)
         if initial_values is None:
             initial_values = [None] * n
         self.registers = [RegEntry(initial_values[j], 0) for j in range(n)]
@@ -110,8 +105,6 @@ class RegisterNode:
         self.read_sn = [0] * n
         self.pending_write: PendingWrite | None = None
         self.pending_read: PendingRead | None = None
-        # r-delivered writes waiting for their predecessor to be applied
-        self.write_buffer: dict[int, dict[int, Value]] = {j: {} for j in range(n)}
         # catch-up requests waiting for the local copy to reach their sn
         self.catchup_waiting: list[tuple[int, int, int]] = []
         self._digest: tuple | None = None  # see digest()
@@ -167,39 +160,22 @@ class RegisterNode:
         for eff in rb_effects:
             out.append(eff)
             if isinstance(eff, RDeliver):
-                self._digest = None  # rb.next_sn advanced
-                out.extend(self._accept_write(eff.origin, eff.value, eff.sn))
+                out.extend(self._apply(eff.origin, eff.value, eff.sn))
         return out
 
     # -- write path ----------------------------------------------------------
 
-    def on_write_rdeliver(self, writer: int, value: Value, sn: int) -> list[Effect]:
-        """Entry point for a delivery from the broadcast layer.
+    def _apply(self, writer: int, value: Value, sn: int) -> list[Effect]:
+        """Advance the local copy of writer's register to its next write.
 
-        Applied once sn is exactly one past the local copy; out-of-sequence
-        deliveries wait in a per-writer buffer and drain in order.
+        The broadcast layer delivers each writer's sn exactly once, in order
+        and without gaps, so sn is always one past the local copy.
         """
-        return self._accept_write(writer, value, sn)
-
-    def _accept_write(self, writer: int, value: Value, sn: int) -> list[Effect]:
-        # the broadcast layer never delivers an instance twice; stale or
-        # duplicate injections from a misbehaving host are dropped here too
-        if sn <= self.registers[writer].sn or sn in self.write_buffer[writer]:
-            return []
-        self.write_buffer[writer][sn] = value
-        return self._drain_writes(writer)
-
-    def _drain_writes(self, writer: int) -> list[Effect]:
-        out: list[Effect] = []
-        buf = self.write_buffer[writer]
-        while (want := self.registers[writer].sn + 1) in buf:
-            value = buf.pop(want)
-            self.registers[writer] = RegEntry(value, want)
-            self._digest = None
-            out.append(Apply(writer, value, want))
-            out.append(Send(writer, WriteDone(want)))
-            out.extend(self._release_catchups(writer))
-            out.extend(self._check_freshness(changed=writer))
+        self.registers[writer] = RegEntry(value, sn)
+        self._digest = None  # a register and rb.next_sn advanced
+        out: list[Effect] = [Apply(writer, value, sn), Send(writer, WriteDone(sn))]
+        out.extend(self._release_catchups(writer))
+        out.extend(self._check_freshness(changed=writer))
         return out
 
     def _on_write_done(self, sender: int, msg: WriteDone) -> list[Effect]:
@@ -216,7 +192,7 @@ class RegisterNode:
 
     def _on_state(self, sender: int, msg: StateReply) -> list[Effect]:
         pr = self.pending_read
-        if (pr is None or pr.phase != PHASE_FRESHNESS
+        if (pr is None or pr.chosen is not None
                 or msg.target != pr.target or msg.rsn != pr.rsn):
             return []
         pr.reports.setdefault(sender, msg.sn)  # first report per sender wins
@@ -237,7 +213,7 @@ class RegisterNode:
         wedge the read.
         """
         pr = self.pending_read
-        if pr is None or pr.phase != PHASE_FRESHNESS or changed != pr.target:
+        if pr is None or pr.chosen is not None or changed != pr.target:
             return []
         local = self.registers[pr.target]
         if NO_FRESHNESS in self.mutations:
@@ -250,7 +226,6 @@ class RegisterNode:
         pr.chosen = local
         if NO_CATCH_UP in self.mutations:
             return self._finish_read()
-        pr.phase = PHASE_CATCH_UP
         return to_all(self.n, CatchUp(pr.target, local.sn))
 
     def _on_catch_up(self, sender: int, msg: CatchUp) -> list[Effect]:
@@ -272,7 +247,7 @@ class RegisterNode:
 
     def _on_catch_up_done(self, sender: int, msg: CatchUpDone) -> list[Effect]:
         pr = self.pending_read
-        if (pr is None or pr.phase != PHASE_CATCH_UP or pr.chosen is None
+        if (pr is None or pr.chosen is None
                 or msg.target != pr.target or msg.sn != pr.chosen.sn):
             return []
         pr.acks.add(sender)
@@ -310,17 +285,13 @@ class RegisterNode:
                          f"{len(pw.acks)}/{self.n - self.t} acks")
         if self.pending_read is not None:
             pr = self.pending_read
-            if pr.phase == PHASE_FRESHNESS:
+            if pr.chosen is None:
                 notes.append(f"p{self.node_id}: read of reg[{pr.target}] waiting on "
                              f"freshness ({len(pr.reports)} reports, local sn "
                              f"{self.registers[pr.target].sn})")
             else:
                 notes.append(f"p{self.node_id}: read of reg[{pr.target}] has "
                              f"{len(pr.acks)}/{self._read_quorum()} catch-up acks")
-        for writer, buf in self.write_buffer.items():
-            if buf:
-                notes.append(f"p{self.node_id}: writes {sorted(buf)} from p{writer} "
-                             f"buffered (applied up to {self.registers[writer].sn})")
         for target, sn, requester in self.catchup_waiting:
             notes.append(f"p{self.node_id}: catch-up to sn {sn} of reg[{target}] "
                          f"for p{requester} waiting "

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ScenarioError
+from .mutations import ALL_MUTATIONS
 
 SCHEDULERS = ("FIFO", "RANDOM", "ADVERSARIAL_REORDER")
 
@@ -54,13 +55,13 @@ class ScenarioConfig:
     mutations: frozenset[str] = frozenset()
     allow_t_violation: bool = False
     expect_nonterminating: bool = False
-    adversary_send_cap: int | None = None  # defaults to 4n sends per event
 
     def byzantine_nodes(self) -> frozenset[int]:
         return frozenset(self.adversary.nodes) if self.adversary else frozenset()
 
     def send_cap(self) -> int:
-        return self.adversary_send_cap if self.adversary_send_cap else 4 * self.n
+        """Most sends a Byzantine node may make per event."""
+        return 4 * self.n
 
     def validate(self) -> None:
         if self.n < 1:
@@ -80,6 +81,10 @@ class ScenarioConfig:
             raise ScenarioError("step_budget must be at least 1")
         if self.init_values is not None and len(self.init_values) != self.n:
             raise ScenarioError("init_values must list one value per process")
+        unknown = sorted(set(self.mutations) - set(ALL_MUTATIONS))
+        if unknown:
+            raise ScenarioError(f"unknown mutations {unknown}; "
+                                f"expected names from {ALL_MUTATIONS}")
         byz = self.byzantine_nodes()
         if self.adversary is not None:
             from .adversary import STRATEGIES  # late import to avoid a cycle
@@ -168,8 +173,6 @@ class ScenarioConfig:
             doc["allow_t_violation"] = True
         if self.expect_nonterminating:
             doc["expect_nonterminating"] = True
-        if self.adversary_send_cap is not None:
-            doc["adversary_send_cap"] = self.adversary_send_cap
         return doc
 
     @classmethod
@@ -181,41 +184,54 @@ class ScenarioConfig:
                 raise ScenarioError(f"scenario is missing required field {req!r}")
         known = {"name", "n", "t", "seed", "scheduler", "workload", "adversary",
                  "fairness_bound", "step_budget", "init_values", "mutations",
-                 "allow_t_violation", "expect_nonterminating",
-                 "adversary_send_cap"}
+                 "allow_t_violation", "expect_nonterminating"}
         unknown = set(doc) - known
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         workload = []
-        for i, raw in enumerate(doc.get("workload", [])):
+        for i, raw in enumerate(_typed(doc.get("workload", []), list,
+                                       "workload")):
+            where = f"workload entry #{i}"
+            _typed(raw, dict, where)
             if "id" not in raw or "process" not in raw or "op" not in raw:
-                raise ScenarioError(
-                    f"workload entry #{i} needs 'id', 'process' and 'op'")
+                raise ScenarioError(f"{where} needs 'id', 'process' and 'op'")
             workload.append(WorkloadOp(
-                id=str(raw["id"]), process=int(raw["process"]),
+                id=str(raw["id"]), process=_int(raw["process"], f"{where} process"),
                 op=str(raw["op"]), value=raw.get("value"),
-                target=raw.get("target"), at=raw.get("at"),
+                target=_int(raw.get("target"), f"{where} target", optional=True),
+                at=_int(raw.get("at"), f"{where} at", optional=True),
                 after=raw.get("after")))
         adversary = None
         if doc.get("adversary") is not None:
-            raw = doc["adversary"]
+            raw = _typed(doc["adversary"], dict, "adversary")
             if "name" not in raw or "nodes" not in raw:
                 raise ScenarioError("adversary needs 'name' and 'nodes'")
-            adversary = AdversarySpec(name=str(raw["name"]),
-                                      nodes=tuple(int(p) for p in raw["nodes"]),
-                                      params=dict(raw.get("params", {})))
+            nodes = _typed(raw["nodes"], list, "adversary 'nodes'")
+            adversary = AdversarySpec(
+                name=str(raw["name"]),
+                nodes=tuple(_int(p, "adversary node") for p in nodes),
+                params=dict(_typed(raw.get("params", {}), dict,
+                                   "adversary 'params'")))
+        init_values = doc.get("init_values")
+        if init_values is not None:
+            _typed(init_values, list, "init_values")
+        mutations = [_typed(m, str, "mutation name")
+                     for m in _typed(doc.get("mutations", []), list, "mutations")]
         cfg = cls(
-            name=str(doc["name"]), n=int(doc["n"]), t=int(doc["t"]),
-            seed=int(doc.get("seed", 0)),
+            name=str(doc["name"]), n=_int(doc["n"], "n"), t=_int(doc["t"], "t"),
+            seed=_int(doc.get("seed", 0), "seed"),
             scheduler=str(doc.get("scheduler", "RANDOM")),
             workload=workload, adversary=adversary,
-            fairness_bound=int(doc.get("fairness_bound", DEFAULT_FAIRNESS_BOUND)),
-            step_budget=int(doc.get("step_budget", DEFAULT_STEP_BUDGET)),
-            init_values=doc.get("init_values"),
-            mutations=frozenset(doc.get("mutations", ())),
-            allow_t_violation=bool(doc.get("allow_t_violation", False)),
-            expect_nonterminating=bool(doc.get("expect_nonterminating", False)),
-            adversary_send_cap=doc.get("adversary_send_cap"))
+            fairness_bound=_int(doc.get("fairness_bound", DEFAULT_FAIRNESS_BOUND),
+                                "fairness_bound"),
+            step_budget=_int(doc.get("step_budget", DEFAULT_STEP_BUDGET),
+                             "step_budget"),
+            init_values=init_values,
+            mutations=frozenset(mutations),
+            allow_t_violation=_typed(doc.get("allow_t_violation", False), bool,
+                                     "allow_t_violation"),
+            expect_nonterminating=_typed(doc.get("expect_nonterminating", False),
+                                         bool, "expect_nonterminating"))
         if validate:
             cfg.validate()
         return cfg
@@ -234,6 +250,26 @@ class ScenarioConfig:
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(self, seed=seed)
+
+
+_JSON_KINDS = {list: "array", dict: "object", str: "string", bool: "boolean"}
+
+
+def _typed(value, kind: type, what: str):
+    """value itself if it has the JSON type kind stands for, else raise."""
+    if not isinstance(value, kind):
+        raise ScenarioError(
+            f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _int(value, what: str, optional: bool = False):
+    """value itself if it is a JSON integer (or None, when optional)."""
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def max_tolerated(n: int) -> int:

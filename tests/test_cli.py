@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line front door."""
 import json
+import re
 
 import pytest
 
 from byzreg.cli import bundled_scenario_names, main, resolve_scenario
 from byzreg.errors import ScenarioError
+from byzreg.scenario import ScenarioConfig
 
 
 def test_list_shows_bundled_scenarios(capsys):
@@ -121,3 +123,72 @@ def test_expect_nonterminating_downgrades_budget_exhaustion(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path)]) == 1
     assert main(["run", str(path), "--expect-nonterminating"]) == 0
+
+
+def small_doc(**fields):
+    doc = {
+        "name": "small", "n": 4, "t": 1,
+        "workload": [
+            {"id": "w1", "process": 0, "op": "write", "value": "x", "at": 0},
+            {"id": "r1", "process": 1, "op": "read", "target": 0,
+             "after": "w1"}],
+    }
+    doc.update(fields)
+    return doc
+
+
+def run_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return main(["run", str(path)])
+
+
+def test_misspelled_mutate_flag_is_rejected(capsys):
+    code = main(["run", "read-inversion-window", "--mutate", "NO_CATCHUP"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown mutations ['NO_CATCHUP']" in err
+    assert "NO_CATCH_UP" in err
+
+
+@pytest.mark.parametrize("mutations, message", [
+    (["BOGUS"], "unknown mutations ['BOGUS']"),
+    ("NO_CATCH_UP", "mutations must be a JSON array"),
+], ids=["unknown-name", "bare-string"])
+def test_scenario_mutations_must_be_known_names(tmp_path, capsys, mutations,
+                                                message):
+    assert run_doc(tmp_path, small_doc(mutations=mutations)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_known_mutation_in_scenario_is_accepted(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(small_doc(mutations=["NO_CATCH_UP"])))
+    assert resolve_scenario(str(path)).mutations == {"NO_CATCH_UP"}
+
+
+def with_entry_field(i, field, value):
+    doc = small_doc()
+    doc["workload"][i][field] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (small_doc(n="four"), "n must be an integer, got 'four'"),
+    (with_entry_field(1, "target", "1"),
+     "workload entry #1 target must be an integer, got '1'"),
+    (with_entry_field(0, "at", "5"),
+     "workload entry #0 at must be an integer, got '5'"),
+    (small_doc(workload=[small_doc()["workload"][0], 5]),
+     "workload entry #1 must be a JSON object, got 5"),
+    (small_doc(adversary={"name": "CRASH_SILENT", "nodes": 3}),
+     "adversary 'nodes' must be a JSON array, got 3"),
+    (small_doc(allow_t_violation="false"),
+     "allow_t_violation must be a JSON boolean, got 'false'"),
+], ids=["n", "target", "at", "entry", "nodes", "flag"])
+def test_malformed_field_types_are_scenario_errors(tmp_path, capsys, doc,
+                                                   message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        ScenarioConfig.from_dict(doc)
+    assert run_doc(tmp_path, doc) == 2
+    assert message in capsys.readouterr().err

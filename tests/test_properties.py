@@ -5,8 +5,9 @@ single node and check the structural invariants that the proofs lean on.
 """
 from hypothesis import given, settings, strategies as st
 
+from byzreg.messages import Ready
 from byzreg.rbcast import RDeliver, ReliableBroadcast
-from byzreg.register import RegisterNode
+from byzreg.register import Apply, RegisterNode
 
 N, T = 4, 1
 
@@ -67,20 +68,23 @@ def test_rb_delivery_requires_a_ready_quorum(events):
         assert len(votes) >= 2 * T + 1
 
 
-reg_events = st.lists(st.tuples(origins, values, sns), max_size=60)
+reg_events = st.lists(
+    st.tuples(origins, values, sns, st.sets(senders, min_size=1)),
+    max_size=60)
 
 
 @settings(max_examples=200, deadline=None)
 @given(reg_events)
-def test_register_sn_is_monotone_and_contiguous(deliveries):
+def test_register_sn_is_monotone_and_contiguous(events):
     node = RegisterNode(0, N, T)
-    highest = [0] * N
-    for writer, value, sn in deliveries:
-        node.on_write_rdeliver(writer, value, sn)
+    applied = {j: [] for j in range(N)}
+    for writer, value, sn, voters in events:
+        for sender in sorted(voters):
+            for eff in node.handle(sender, Ready(writer, value, sn)):
+                if isinstance(eff, Apply):
+                    applied[eff.writer].append(eff.sn)
         for j in range(N):
-            assert node.registers[j].sn >= highest[j]
-            highest[j] = node.registers[j].sn
+            assert node.registers[j].sn == node.rb.next_sn[j] - 1
     for j in range(N):
-        # whatever arrived, the applied prefix has no holes
-        applied = node.registers[j].sn
-        assert all(sn > applied for sn in node.write_buffer[j])
+        # each sn applied once, in order, with no holes
+        assert applied[j] == list(range(1, node.registers[j].sn + 1))

@@ -8,7 +8,7 @@ import pytest
 
 from byzreg.errors import ProtocolMisuseError
 from byzreg.messages import App, Echo, Ready
-from byzreg.rbcast import RDeliver, ReliableBroadcast, Send
+from byzreg.rbcast import PENDING_CAP, RDeliver, ReliableBroadcast, Send
 
 
 def make_node(node_id=0, n=4, t=1, **kw):
@@ -66,15 +66,20 @@ class TestOnApp:
     def test_future_sn_buffered_until_guard(self):
         node = make_node()
         assert node.on_app(2, "c", 3) == []
-        self._deliver(node, 2, "a", 1)
-        self._deliver(node, 2, "b", 2)
+        out = self._deliver(node, 2, "a", 1)
+        assert Echo(2, "c", 3) not in [s.payload for s in sends(out)]
+        out = self._deliver(node, 2, "b", 2)
         # delivering sn 2 moves next to 3, releasing the buffered echo
         assert node.next_sn[2] == 3
-        assert (2, 3) in node.echoed
+        echoes = [s for s in sends(out) if isinstance(s.payload, Echo)]
+        assert echoes == [Send(d, Echo(2, "c", 3)) for d in range(4)]
+        # once released, a retransmitted APP does not echo again
+        assert node.on_app(2, "c", 3) == []
 
     def _deliver(self, node, origin, value, sn):
         out = feed_ready(node, origin, value, sn, [0, 1, 2])
         assert deliveries(out) == [RDeliver(origin, value, sn)]
+        return out
 
 
 class TestOnEcho:
@@ -90,7 +95,7 @@ class TestOnEcho:
         node.on_echo(2, "a", 1, 0)
         node.on_echo(2, "a", 1, 1)
         assert node.on_echo(2, "a", 1, 1) == []
-        assert len(node.echo_senders[(2, "a", 1)]) == 2
+        assert len(node.echo_senders[(2, 1)]["a"]) == 2
 
     def test_no_second_ready(self):
         node = make_node()
@@ -103,8 +108,8 @@ class TestOnEcho:
         node.on_echo(2, "a", 1, 0)
         node.on_echo(2, "b", 1, 1)
         node.on_echo(2, "a", 1, 1)
-        assert len(node.echo_senders[(2, "a", 1)]) == 2
-        assert len(node.echo_senders[(2, "b", 1)]) == 1
+        assert len(node.echo_senders[(2, 1)]["a"]) == 2
+        assert len(node.echo_senders[(2, 1)]["b"]) == 1
 
 
 class TestOnReady:
@@ -118,7 +123,7 @@ class TestOnReady:
         node = make_node()
         out = feed_ready(node, 2, "a", 1, [0, 1, 3])
         assert deliveries(out) == [RDeliver(2, "a", 1)]
-        assert node.has_delivered(2, 1)
+        assert node.next_sn[2] == 2
         # a fourth distinct READY must not deliver again
         assert deliveries(node.on_ready(2, "a", 1, 2)) == []
 
@@ -139,6 +144,15 @@ class TestFifoDelivery:
         assert deliveries(out) == [RDeliver(2, "a", 1), RDeliver(2, "b", 2)]
         assert node.next_sn[2] == 3
 
+    def test_first_value_to_complete_a_quorum_wins(self):
+        node = make_node()
+        # a waiting instance with two full READY quorums (only possible
+        # beyond t faults) delivers the value whose votes came first
+        feed_ready(node, 2, "b", 2, [0, 1, 3])
+        feed_ready(node, 2, "a", 2, [0, 1, 3])
+        out = feed_ready(node, 2, "x", 1, [0, 1, 3])
+        assert deliveries(out) == [RDeliver(2, "x", 1), RDeliver(2, "b", 2)]
+
     def test_gap_blocks_forever(self):
         node = make_node()
         assert deliveries(feed_ready(node, 2, "c", 3, [0, 1, 3])) == []
@@ -148,16 +162,25 @@ class TestFifoDelivery:
 class TestBookkeeping:
     def test_retired_instance_ignores_stragglers(self):
         node = make_node()
+        node.on_app(2, "a", 1)
+        for sender in (0, 1, 3):
+            node.on_echo(2, "a", 1, sender)
         feed_ready(node, 2, "a", 1, [0, 1, 3])
         assert node.on_echo(2, "a", 1, 2) == []
-        assert (2, "a", 1) not in node.echo_senders
+        assert (2, 1) not in node.echo_senders
+        assert (2, 1) not in node.ready_senders
+        assert (2, 1) not in node.readied
         assert 1 not in node.first_app[2]
 
     def test_pending_cap_drops_oldest_waiter(self):
-        node = make_node(pending_cap=3)
-        for sn in (10, 11, 12, 13):
+        node = make_node()
+        node.on_app(2, "h", 1)  # the echoed head does not count
+        future = range(10, 10 + PENDING_CAP)
+        for sn in future:
             node.on_app(2, f"v{sn}", sn)
-        assert sorted(node.first_app[2]) == [11, 12, 13]
+        assert list(node.first_app[2]) == [1, *future]
+        node.on_app(2, "late", 10 + PENDING_CAP)
+        assert list(node.first_app[2]) == [1, *future[1:], 10 + PENDING_CAP]
 
     def test_self_loopback_counts_self(self):
         node = make_node(node_id=0)

@@ -29,6 +29,14 @@ def completions(effects):
     return [e for e in effects if isinstance(e, Complete)]
 
 
+def rdeliver(node, writer, value, sn):
+    """Feed node a READY quorum for (writer, value, sn) through handle."""
+    out = []
+    for sender in (1, 2, 3):
+        out.extend(node.handle(sender, Ready(writer, value, sn)))
+    return out
+
+
 class TestBeginWrite:
     def test_first_write_broadcasts_sn_one(self):
         node = make_node()
@@ -53,22 +61,23 @@ class TestBeginWrite:
 class TestWriteDelivery:
     def test_in_sequence_write_applies_and_acks(self):
         node = make_node()
-        out = node.on_write_rdeliver(2, "a", 1)
+        out = rdeliver(node, 2, "a", 1)
         assert node.registers[2] == RegEntry("a", 1)
         assert Apply(2, "a", 1) in out
         assert Send(2, WriteDone(1)) in out
 
     def test_gap_buffers_without_state_change(self):
         node = make_node()
-        out = node.on_write_rdeliver(2, "c", 3)
-        assert out == []
+        out = rdeliver(node, 2, "c", 3)
+        assert not any(isinstance(e, Apply) for e in out)
+        assert not any(isinstance(p, WriteDone) for p in payloads(out))
         assert node.registers[2].sn == 0
 
     def test_buffered_writes_drain_in_order(self):
         node = make_node()
-        node.on_write_rdeliver(2, "c", 3)
-        node.on_write_rdeliver(2, "a", 1)
-        out = node.on_write_rdeliver(2, "b", 2)
+        rdeliver(node, 2, "c", 3)
+        rdeliver(node, 2, "a", 1)
+        out = rdeliver(node, 2, "b", 2)
         assert node.registers[2] == RegEntry("c", 3)
         acks = [p.sn for p in payloads(out) if isinstance(p, WriteDone)]
         assert acks == [2, 3]
@@ -126,12 +135,10 @@ class TestDigest:
         node.pending_write = None
         node.begin_read(2)
         changed()
-        for sender in (1, 2, 3):  # a READY quorum r-delivers (2, "a", 1)
-            node.handle(sender, Ready(2, "a", 1))
+        rdeliver(node, 2, "a", 1)
         assert node.registers[2] == RegEntry("a", 1)
         changed()
-        for sender in (1, 2, 3):  # and (1, "b", 1), applied at once
-            node.handle(sender, Ready(1, "b", 1))
+        rdeliver(node, 1, "b", 1)
         assert node.registers[1] == RegEntry("b", 1)
         changed()
 
@@ -160,7 +167,7 @@ class TestServeRead:
     def test_state_reflects_current_sn(self):
         node = make_node()
         for sn in range(1, 6):
-            node.on_write_rdeliver(2, f"v{sn}", sn)
+            rdeliver(node, 2, f"v{sn}", sn)
         out = node.handle(3, ReadReq(2, 7))
         assert payloads(out) == [StateReply(2, 7, 5)]
 
@@ -180,8 +187,8 @@ class TestServeRead:
 class TestFreshness:
     def test_three_stale_enough_reports_fire_catch_up(self):
         node = make_node()
-        node.on_write_rdeliver(2, "a", 1)
-        node.on_write_rdeliver(2, "b", 2)
+        rdeliver(node, 2, "a", 1)
+        rdeliver(node, 2, "b", 2)
         node.begin_read(2)
         node.handle(0, StateReply(2, 1, 1))
         node.handle(1, StateReply(2, 1, 2))
@@ -191,14 +198,14 @@ class TestFreshness:
 
     def test_inflated_reports_do_not_satisfy_guard(self):
         node = make_node()
-        node.on_write_rdeliver(2, "a", 1)
-        node.on_write_rdeliver(2, "b", 2)
+        rdeliver(node, 2, "a", 1)
+        rdeliver(node, 2, "b", 2)
         node.begin_read(2)
         for sender in (0, 1, 3):
             assert node.handle(sender, StateReply(2, 1, 5)) == []
         # a fourth, small report still leaves only one value <= 2
         assert node.handle(2, StateReply(2, 1, 0)) == []
-        assert node.pending_read.phase == "FRESHNESS"
+        assert node.pending_read.chosen is None
 
     def test_guard_reevaluated_when_register_catches_up(self):
         node = make_node()
@@ -206,8 +213,14 @@ class TestFreshness:
         for sender, rep in ((0, 1), (1, 1), (3, 0)):
             node.handle(sender, StateReply(2, 1, rep))
         # two reports <= 0; applying sn 1 makes it three
-        out = node.on_write_rdeliver(2, "a", 1)
+        out = rdeliver(node, 2, "a", 1)
         assert any(isinstance(p, CatchUp) and p.sn == 1 for p in payloads(out))
+
+    def test_catch_up_ack_during_freshness_ignored(self):
+        node = make_node()
+        node.begin_read(2)
+        assert node.handle(0, CatchUpDone(2, 0)) == []
+        assert node.pending_read.acks == set()
 
     def test_stale_rsn_ignored(self):
         node = make_node()
@@ -227,17 +240,17 @@ class TestCatchUp:
     def test_satisfied_guard_acks_immediately(self):
         node = make_node()
         for sn in (1, 2, 3):
-            node.on_write_rdeliver(2, f"v{sn}", sn)
+            rdeliver(node, 2, f"v{sn}", sn)
         out = node.handle(1, CatchUp(2, 2))
         assert payloads(out) == [CatchUpDone(2, 2)]
 
     def test_deferred_until_register_reaches_sn(self):
         node = make_node()
-        node.on_write_rdeliver(2, "a", 1)
+        rdeliver(node, 2, "a", 1)
         assert node.handle(1, CatchUp(2, 4)) == []
         for sn in (2, 3):
-            node.on_write_rdeliver(2, f"v{sn}", sn)
-        out = node.on_write_rdeliver(2, "v4", 4)
+            rdeliver(node, 2, f"v{sn}", sn)
+        out = rdeliver(node, 2, "v4", 4)
         assert Send(1, CatchUpDone(2, 4)) in out
 
     def test_absurd_sn_waits_forever_harmlessly(self):
@@ -251,11 +264,11 @@ class TestCatchUp:
 class TestReadCompletion:
     def _reading_node(self):
         node = make_node()
-        node.on_write_rdeliver(2, "a", 1)
+        rdeliver(node, 2, "a", 1)
         node.begin_read(2)
         for sender in (0, 1, 3):
             node.handle(sender, StateReply(2, 1, 1))
-        assert node.pending_read.phase == "CATCH_UP"
+        assert node.pending_read.chosen is not None
         return node
 
     def test_returns_at_n_minus_t_acks(self):
@@ -271,6 +284,14 @@ class TestReadCompletion:
         assert node.handle(0, CatchUpDone(2, 9)) == []
         assert node.pending_read.acks == set()
 
+    def test_freshness_round_ends_once(self):
+        node = self._reading_node()
+        # a late report, or a newer write applied, starts no second round
+        assert node.handle(2, StateReply(2, 1, 1)) == []
+        out = rdeliver(node, 2, "b", 2)
+        assert not any(isinstance(p, CatchUp) for p in payloads(out))
+        assert node.pending_read.chosen == RegEntry("a", 1)
+
     def test_duplicate_ack_not_double_counted(self):
         node = self._reading_node()
         node.handle(0, CatchUpDone(2, 1))
@@ -283,7 +304,7 @@ class TestMonotonicity:
         node = make_node()
         seen = [0]
         for sn in (3, 1, 5, 2, 4):
-            node.on_write_rdeliver(2, f"v{sn}", sn)
+            rdeliver(node, 2, f"v{sn}", sn)
             seen.append(node.registers[2].sn)
         assert seen == sorted(seen)
         assert node.registers[2].sn == 5
