@@ -1,17 +1,27 @@
-"""Golden trace hashes: the simulator's behaviour oracle.
+"""Golden trace and report hashes: the simulator's and checker's oracle.
 
 Each case below is a (scenario, seed) pair whose ``trace_hash()`` is pinned
 in ``golden_trace_hashes.json``. Any change to scheduling, trigger order,
 protocol output or trace encoding shows up here as a hash mismatch.
 
-A deliberate trace-format change re-baselines the file in the same change:
+``golden_report_hashes.json`` pins what the checker concludes from the same
+trace: every verdict's property, status and detail in order, each
+operation's sends by tag, the unattributed send count and the linearization
+labels per register. Event sequence numbers are left out, so a trace-format
+change that only renumbers events keeps these hashes.
+
+A deliberate change re-baselines both files in the same change:
 
     PYTHONPATH=src python tests/test_golden_traces.py --regenerate
 """
+import hashlib
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
+from byzreg.checker import CheckReport, run_all_checks
 from byzreg.cli import bundled_scenario_names, resolve_scenario
 from byzreg.mutations import ALL_MUTATIONS
 from byzreg.netsim import Simulation
@@ -19,6 +29,7 @@ from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
                              matrix_scenario)
 
 GOLDEN = Path(__file__).with_name("golden_trace_hashes.json")
+GOLDEN_REPORTS = Path(__file__).with_name("golden_report_hashes.json")
 BUNDLED_SEEDS = range(5)
 MATRIX_SIZES = (4, 7)
 MATRIX_STRATEGIES = (None, "CRASH_SILENT", "EQUIVOCATE_WRITE", "SEQ_SKIP",
@@ -102,22 +113,53 @@ def cases() -> dict[str, ScenarioConfig]:
     return out
 
 
-def compute() -> dict[str, str]:
-    return {key: Simulation(cfg).run().trace_hash()
-            for key, cfg in cases().items()}
+def report_hash(report: CheckReport) -> str:
+    doc = {
+        "verdicts": [[v.prop, v.status, v.detail] for v in report.verdicts],
+        "sends": {op_id: cost.counts
+                  for op_id, cost in report.cost.per_op.items()},
+        "unattributed": report.cost.unattributed,
+        "linearizations": {str(target): [item.label for item in items]
+                           for target, items in report.linearizations.items()},
+    }
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def test_trace_hashes_match_golden_file():
-    golden = json.loads(GOLDEN.read_text())
-    got = compute()
+def compute() -> tuple[dict[str, str], dict[str, str]]:
+    """Trace hashes and report hashes per case, one simulation each."""
+    traces, reports = {}, {}
+    for key, cfg in cases().items():
+        trace = Simulation(cfg).run()
+        traces[key] = trace.trace_hash()
+        reports[key] = report_hash(run_all_checks(trace))
+    return traces, reports
+
+
+@pytest.fixture(scope="module")
+def computed():
+    return compute()
+
+
+def assert_matches(golden_file: Path, got: dict[str, str]) -> None:
+    golden = json.loads(golden_file.read_text())
     assert sorted(got) == sorted(golden), "case list differs from golden file"
     wrong = [key for key in golden if got[key] != golden[key]]
-    assert not wrong, f"{len(wrong)} traces changed: {wrong[:10]}"
+    assert not wrong, f"{len(wrong)} hashes changed: {wrong[:10]}"
+
+
+def test_trace_hashes_match_golden_file(computed):
+    assert_matches(GOLDEN, computed[0])
+
+
+def test_report_hashes_match_golden_file(computed):
+    assert_matches(GOLDEN_REPORTS, computed[1])
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_traces.py "
                  "--regenerate")
-    GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    for path, hashes in zip((GOLDEN, GOLDEN_REPORTS), compute()):
+        path.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")
