@@ -1,9 +1,13 @@
 """Post-hoc trace verifier.
 
-Everything here is a pure function over a recorded trace. The checker
-derives, per register, the sequence of values the correct processes
-applied (the register's history), resolves every completed read to a
-position in that history, and then decides:
+Everything here is a pure function over a recorded trace.
+``derive_histories`` is the only function that reads the trace's event
+records; it fills a ``History`` in one pass, and every other check works
+from that History and the trace's metadata (n, the Byzantine set, the
+outcome). The checker derives, per register, the sequence of values the
+correct processes applied when they r-delivered them (the register's
+history), resolves every completed read to a position in that history,
+and then decides:
 
 * per-writer agreement: all correct processes apply the same value at each
   position of each register;
@@ -28,7 +32,6 @@ the violation, so it can be replayed against the stored trace.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -63,6 +66,10 @@ class OperationRecord:
     end_seq: int | None
     value: Value = None
     index: int | None = None  # position in the target register's history
+    # 1-based count of the invoker's operations of this kind on target, so
+    # a write's sn or a read's rsn
+    number: int = 0
+    sends: dict[str, int] = field(default_factory=dict)  # charged, by tag
 
     def completed(self) -> bool:
         return self.end_seq is not None
@@ -70,12 +77,24 @@ class OperationRecord:
 
 @dataclass
 class History:
-    """Per-register write sequences plus resolved operation records."""
+    """What the checks need from a trace's event records, gathered once.
+
+    Per-register write sequences, the operations in start order with the
+    sends charged to each, the r-deliveries at correct processes and the
+    broadcasts correct origins started.
+    """
 
     values: dict[int, list[Value]]  # writer -> [H[1], H[2], ...]
     first_apply_seq: dict[tuple[int, int], int]  # (writer, x) -> event seq
-    ops: list[OperationRecord]
+    ops: list[OperationRecord]  # in start order
     derivation_verdicts: list[Verdict] = field(default_factory=list)
+    # (node, origin, value, sn, seq) of each r-delivery at a correct node
+    deliveries: list[tuple[int, int, Value, int, int]] = field(
+        default_factory=list)
+    # (origin, sn) of a correct origin -> values its APPs carried
+    broadcasts: dict[tuple[int, int], set[Value]] = field(default_factory=dict)
+    first_app_seq: dict[tuple[int, int], int] = field(default_factory=dict)
+    unattributed: int = 0  # sends by correct processes no operation owns
 
     def reads_of(self, target: int) -> list[OperationRecord]:
         return [op for op in self.ops
@@ -91,14 +110,92 @@ class History:
 # ---------------------------------------------------------------------------
 
 def derive_histories(trace: Trace) -> History:
+    """Gather what the checks need from the trace's event records.
+
+    This is the only function that reads them. One pass collects the
+    operations, the r-deliveries at correct processes (each is also that
+    process's register apply) and the APPs correct origins sent, and
+    charges every send by a correct process to the operation it serves:
+
+    * broadcast-layer messages and write acks to the write instance they
+      carry;
+    * read requests and state replies to the read they quote;
+    * catch-up traffic to the requester's latest read of that register
+      started before the send.
+
+    Per-writer histories and agreement then come from the deliveries.
+    """
     correct = set(trace.correct_nodes())
-    applies: dict[int, dict[int, list[tuple[int, Value, int]]]] = {}
+    ops: dict[str, OperationRecord] = {}
+    writes: dict[tuple[int, int], OperationRecord] = {}  # (writer, sn)
+    # (reader, target, rsn) -> op
+    reads: dict[tuple[int, int, int], OperationRecord] = {}
+    # (kind, invoker, target) -> the invoker's latest such operation
+    latest: dict[tuple[str, int, int], OperationRecord] = {}
+    deliveries: list[tuple[int, int, Value, int, int]] = []
+    broadcasts: dict[tuple[int, int], set[Value]] = {}
+    first_app_seq: dict[tuple[int, int], int] = {}
+    unattributed = 0
     for event in trace.events:
-        if event["kind"] != "STATE_CHANGE" or event["node"] not in correct:
-            continue
+        kind = event["kind"]
         p = event["payload"]
-        applies.setdefault(p["writer"], {}).setdefault(event["node"], []) \
-            .append((p["sn"], p["value"], event["seq"]))
+        if kind == "SEND":
+            sender = event["sender"]
+            if sender not in correct:
+                continue
+            tag = p["tag"]
+            op = None
+            if tag == "APP":
+                key = (sender, p["sn"])
+                broadcasts.setdefault(key, set()).add(p["value"])
+                first_app_seq.setdefault(key, event["seq"])
+                op = writes.get(key)
+            elif tag in ("ECHO", "READY"):
+                op = writes.get((p["origin"], p["sn"]))
+            elif tag == "WRITE_DONE":
+                op = writes.get((event["receiver"], p["sn"]))
+            elif tag == "READ":
+                op = reads.get((sender, p["target"], p["rsn"]))
+            elif tag == "STATE":
+                op = reads.get((event["receiver"], p["target"], p["rsn"]))
+            elif tag == "CATCH_UP":
+                op = latest.get(("READ", sender, p["target"]))
+            elif tag == "CATCH_UP_DONE":
+                op = latest.get(("READ", event["receiver"], p["target"]))
+            if op is None:
+                unattributed += 1  # e.g. replies to a Byzantine requester
+            else:
+                op.sends[tag] = op.sends.get(tag, 0) + 1
+        elif kind == "RDELIVER":
+            if event["node"] in correct:
+                deliveries.append((event["node"], p["origin"], p["value"],
+                                   p["sn"], event["seq"]))
+        elif kind == "OP_START":
+            op = OperationRecord(
+                kind=p["op"], op_id=p["id"], invoker=event["node"],
+                target=p["target"], start_seq=event["seq"], end_seq=None,
+                value=p.get("value"))
+            key = (op.kind, op.invoker, op.target)
+            previous = latest.get(key)
+            op.number = 1 if previous is None else previous.number + 1
+            latest[key] = ops[op.op_id] = op
+            if op.kind == "WRITE":
+                # a correct writer numbers its writes consecutively, so a
+                # write that never completed still has a known position
+                op.index = op.number
+                writes[(op.invoker, op.number)] = op
+            else:
+                reads[(op.invoker, op.target, op.number)] = op
+        elif kind == "OP_END":
+            op = ops[p["id"]]
+            op.end_seq = event["seq"]
+            op.value = p["value"]
+            op.index = p["sn"]
+
+    applies: dict[int, dict[int, list[tuple[int, Value, int]]]] = {}
+    for node, origin, value, sn, seq in deliveries:
+        applies.setdefault(origin, {}).setdefault(node, []).append(
+            (sn, value, seq))
 
     verdicts: list[Verdict] = []
     values: dict[int, list[Value]] = {}
@@ -134,9 +231,8 @@ def derive_histories(trace: Trace) -> History:
     if agreement_ok:
         verdicts.append(Verdict("per-writer-agreement", PASS))
 
-    ops = _collect_ops(trace)
     resolution_failures = []
-    for op in ops:
+    for op in ops.values():
         if op.kind == "WRITE" or not op.completed():
             continue
         hist = values.get(op.target, [])
@@ -155,36 +251,10 @@ def derive_histories(trace: Trace) -> History:
     else:
         verdicts.append(Verdict("read-resolution", PASS))
 
-    return History(values=values, first_apply_seq=first_seq, ops=ops,
-                   derivation_verdicts=verdicts)
-
-
-def _collect_ops(trace: Trace) -> list[OperationRecord]:
-    ops: dict[str, OperationRecord] = {}
-    for event in trace.events:
-        p = event["payload"]
-        if event["kind"] == "OP_START":
-            ops[p["id"]] = OperationRecord(
-                kind=p["op"], op_id=p["id"], invoker=event["node"],
-                target=p["target"], start_seq=event["seq"], end_seq=None,
-                value=p.get("value"))
-        elif event["kind"] == "OP_END":
-            rec = ops[p["id"]]
-            rec.end_seq = event["seq"]
-            rec.value = p["value"]
-            rec.index = p["sn"]
-    # a correct writer numbers its writes consecutively, so a write that
-    # never completed still has a known history position
-    by_writer: dict[int, list[OperationRecord]] = {}
-    for op in ops.values():
-        if op.kind == "WRITE":
-            by_writer.setdefault(op.invoker, []).append(op)
-    for writes in by_writer.values():
-        writes.sort(key=lambda o: o.start_seq)
-        for pos, op in enumerate(writes, start=1):
-            if op.index is None:
-                op.index = pos
-    return list(ops.values())
+    return History(values=values, first_apply_seq=first_seq,
+                   ops=list(ops.values()), derivation_verdicts=verdicts,
+                   deliveries=deliveries, broadcasts=broadcasts,
+                   first_app_seq=first_app_seq, unattributed=unattributed)
 
 
 # ---------------------------------------------------------------------------
@@ -287,32 +357,16 @@ def _check_no_read_inversion(history: History) -> Verdict:
 # reliable broadcast properties
 # ---------------------------------------------------------------------------
 
-def check_rb(trace: Trace) -> list[Verdict]:
+def check_rb(history: History, trace: Trace) -> list[Verdict]:
     correct = set(trace.correct_nodes())
-    broadcast_values: dict[tuple[int, int], set] = {}
-    first_app_seq: dict[tuple[int, int], int] = {}
-    for event in trace.events:
-        if event["kind"] != "SEND" or event["payload"]["tag"] != "APP":
-            continue
-        key = (event["sender"], event["payload"]["sn"])
-        broadcast_values.setdefault(key, set()).add(event["payload"]["value"])
-        first_app_seq.setdefault(key, event["seq"])
-
-    deliveries = []  # (node, origin, value, sn, seq)
-    for event in trace.events:
-        if event["kind"] == "RDELIVER" and event["node"] in correct:
-            p = event["payload"]
-            deliveries.append((event["node"], p["origin"], p["value"],
-                               p["sn"], event["seq"]))
-
-    verdicts = [
-        _rb_validity(deliveries, broadcast_values, correct),
+    deliveries = history.deliveries
+    return [
+        _rb_validity(deliveries, history.broadcasts, correct),
         _rb_integrity(deliveries),
         _rb_uniformity(deliveries, correct, trace.quiescent()),
-        _rb_termination(deliveries, broadcast_values, first_app_seq, correct,
-                        trace.quiescent()),
+        _rb_termination(deliveries, history.broadcasts, history.first_app_seq,
+                        correct, trace.quiescent()),
     ]
-    return verdicts
 
 
 def _rb_validity(deliveries, broadcast_values, correct) -> Verdict:
@@ -375,15 +429,15 @@ def _rb_uniformity(deliveries, correct, quiescent) -> Verdict:
 
 def _rb_termination(deliveries, broadcast_values, first_app_seq, correct,
                     quiescent) -> Verdict:
+    """broadcast_values holds only correct origins' broadcasts."""
     if not quiescent:
         return Verdict("rb-termination", VACUOUS, "run not quiescent")
-    expected = [key for key in broadcast_values if key[0] in correct]
-    if not expected:
+    if not broadcast_values:
         return Verdict("rb-termination", VACUOUS, "no broadcasts by correct origins")
     delivered_by: dict[tuple[int, int], set[int]] = {}
     for node, origin, _value, sn, _seq in deliveries:
         delivered_by.setdefault((origin, sn), set()).add(node)
-    for key in sorted(expected):
+    for key in sorted(broadcast_values):
         nodes = delivered_by.get(key, set())
         if nodes != correct:
             missing = sorted(correct - nodes)
@@ -391,31 +445,26 @@ def _rb_termination(deliveries, broadcast_values, first_app_seq, correct,
                 "rb-termination", FAIL,
                 f"broadcast {key} from a correct origin never delivered at "
                 f"{['p%d' % m for m in missing]}", (first_app_seq[key],))
-    return Verdict("rb-termination", PASS, f"{len(expected)} broadcasts")
+    return Verdict("rb-termination", PASS,
+                   f"{len(broadcast_values)} broadcasts")
 
 
 # ---------------------------------------------------------------------------
 # liveness
 # ---------------------------------------------------------------------------
 
-def check_termination(trace: Trace) -> Verdict:
+def check_termination(history: History, trace: Trace) -> Verdict:
     if not trace.quiescent():
         detail = f"run ended {trace.outcome}"
         if trace.diagnostics:
             detail += ": " + "; ".join(trace.diagnostics)
         return Verdict("termination", NONTERMINATING, detail)
-    open_ops = []
-    for event in trace.events:
-        if event["kind"] == "OP_START":
-            open_ops.append((event["payload"]["id"], event["seq"]))
-        elif event["kind"] == "OP_END":
-            open_ops = [(i, s) for (i, s) in open_ops
-                        if i != event["payload"]["id"]]
+    open_ops = [op for op in history.ops if not op.completed()]
     if open_ops:
         return Verdict("termination", FAIL,
                        f"operations never completed: "
-                       f"{[i for i, _ in open_ops]}",
-                       tuple(s for _, s in open_ops))
+                       f"{[op.op_id for op in open_ops]}",
+                       tuple(op.start_seq for op in open_ops))
     return Verdict("termination", PASS)
 
 
@@ -552,92 +601,33 @@ def cost_bounds(n: int) -> dict[str, int]:
     return {"READ": 4 * n, "WRITE": 2 * n * n + 2 * n}
 
 
-def count_messages(trace: Trace, history: History | None = None) -> CostReport:
-    """Attribute every send by a correct process to the operation it serves.
+def count_messages(history: History, trace: Trace) -> CostReport:
+    """Check each completed operation's sends against its bound.
 
-    Broadcast-layer messages and write acks belong to the write instance
-    they carry; read requests and state replies belong to the read they
-    quote; catch-up traffic belongs to the read of that register the
-    requester had open when the message was sent.
+    derive_histories charges every send by a correct process to the
+    operation it serves; this reports those counts per operation.
     """
-    if history is None:
-        history = derive_histories(trace)
-    correct = set(trace.correct_nodes())
-
-    write_key: dict[tuple[int, int], str] = {}
-    read_key: dict[tuple[int, int, int], str] = {}
-    # (reader, target) -> start seqs and op ids of its reads, in start order
-    read_starts: dict[tuple[int, int], tuple[list[int], list[str]]] = {}
-    per_op: dict[str, OpCost] = {}
-    rsn_counter: dict[tuple[int, int], int] = {}
-    for op in sorted(history.ops, key=lambda o: o.start_seq):
-        per_op[op.op_id] = OpCost(op.op_id, op.kind, op.invoker)
-        if op.kind == "WRITE":
-            # _collect_ops numbers every write, completed or not
-            write_key[(op.invoker, op.index)] = op.op_id
-        else:
-            rsn = rsn_counter.get((op.invoker, op.target), 0) + 1
-            rsn_counter[(op.invoker, op.target)] = rsn
-            read_key[(op.invoker, op.target, rsn)] = op.op_id
-            starts, ids = read_starts.setdefault((op.invoker, op.target),
-                                                 ([], []))
-            starts.append(op.start_seq)
-            ids.append(op.op_id)
-
-    unattributed = 0
-
-    def read_op_at(invoker: int, target: int, seq: int) -> str | None:
-        """The invoker's latest read of target started at or before seq."""
-        starts, ids = read_starts.get((invoker, target), ((), ()))
-        i = bisect.bisect_right(starts, seq)
-        return ids[i - 1] if i else None
-
-    for event in trace.events:
-        if event["kind"] != "SEND" or event["sender"] not in correct:
-            continue
-        p = event["payload"]
-        tag = p["tag"]
-        op_id = None
-        if tag == "APP":
-            op_id = write_key.get((event["sender"], p["sn"]))
-        elif tag in ("ECHO", "READY"):
-            op_id = write_key.get((p["origin"], p["sn"]))
-        elif tag == "WRITE_DONE":
-            op_id = write_key.get((event["receiver"], p["sn"]))
-        elif tag == "READ":
-            op_id = read_key.get((event["sender"], p["target"], p["rsn"]))
-        elif tag == "STATE":
-            op_id = read_key.get((event["receiver"], p["target"], p["rsn"]))
-        elif tag == "CATCH_UP":
-            op_id = read_op_at(event["sender"], p["target"], event["seq"])
-        elif tag == "CATCH_UP_DONE":
-            op_id = read_op_at(event["receiver"], p["target"], event["seq"])
-        if op_id is None or op_id not in per_op:
-            unattributed += 1  # e.g. replies to a Byzantine requester
-            continue
-        counts = per_op[op_id].counts
-        counts[tag] = counts.get(tag, 0) + 1
-
+    per_op = {op.op_id: OpCost(op.op_id, op.kind, op.invoker, op.sends)
+              for op in history.ops}
     bounds = cost_bounds(trace.n)
+    completed = [op for op in history.ops if op.completed()]
     verdict = Verdict("message-cost", VACUOUS, "no completed operations")
-    for op in sorted(history.ops, key=lambda o: o.start_seq):
-        if not op.completed():
-            continue
-        cost = per_op[op.op_id]
+    for op in completed:
+        total = per_op[op.op_id].total
         bound = bounds[op.kind]
-        if cost.total > bound:
+        if total > bound:
             verdict = Verdict(
                 "message-cost", FAIL,
-                f"{op.kind.lower()} {op.op_id} cost {cost.total} sends among "
+                f"{op.kind.lower()} {op.op_id} cost {total} sends among "
                 f"correct processes, bound {bound}",
                 (op.start_seq, op.end_seq))
             break
     else:
-        completed = [o for o in history.ops if o.completed()]
         if completed:
             verdict = Verdict("message-cost", PASS,
                               f"{len(completed)} operations within bounds")
-    return CostReport(per_op=per_op, unattributed=unattributed, verdict=verdict)
+    return CostReport(per_op=per_op, unattributed=history.unattributed,
+                      verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +673,11 @@ class CheckReport:
     def nonterminating(self) -> bool:
         return any(v.status == NONTERMINATING for v in self.verdicts)
 
-    def ok(self, expect_nonterminating: bool = False) -> bool:
+    def ok(self) -> bool:
+        """No FAIL, and no NONTERMINATING unless the run expected one."""
         if self.failures():
             return False
-        if self.nonterminating() and not expect_nonterminating:
+        if self.nonterminating() and not self.trace.expect_nonterminating:
             return False
         return True
 
@@ -699,9 +690,9 @@ def run_all_checks(trace: Trace) -> CheckReport:
     verdicts = list(history.derivation_verdicts)
     safety = check_safety(history, trace)
     verdicts.extend(safety)
-    verdicts.extend(check_rb(trace))
-    verdicts.append(check_termination(trace))
-    cost = count_messages(trace, history)
+    verdicts.extend(check_rb(history, trace))
+    verdicts.append(check_termination(history, trace))
+    cost = count_messages(history, trace)
     verdicts.append(cost.verdict)
     linearizations: dict[int, list[LinItem]] = {}
     if not any(v.status == FAIL for v in verdicts):

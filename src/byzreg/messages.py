@@ -118,6 +118,3 @@ class CatchUpDone(Message):
     target: int
     sn: int
     tag: ClassVar[str] = "CATCH_UP_DONE"
-
-
-BROADCAST_TAGS = frozenset({"APP", "ECHO", "READY"})

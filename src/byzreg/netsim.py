@@ -45,7 +45,7 @@ from .adversary import AdversaryStrategy, build_strategy
 from .errors import SimulationClosedError
 from .messages import Message
 from .rbcast import RDeliver, Send
-from .register import Apply, Complete, RegisterNode
+from .register import Complete, RegisterNode
 from .scenario import ScenarioConfig, WorkloadOp
 
 OUTCOME_QUIESCENT = "QUIESCENT"
@@ -273,10 +273,6 @@ class Simulation:
             elif isinstance(eff, RDeliver):
                 self._record("RDELIVER", pid, eff.origin, pid,
                              {"origin": eff.origin, "value": eff.value,
-                              "sn": eff.sn})
-            elif isinstance(eff, Apply):
-                self._record("STATE_CHANGE", pid, eff.writer, pid,
-                             {"writer": eff.writer, "value": eff.value,
                               "sn": eff.sn})
             elif isinstance(eff, Complete):
                 self._complete_op(pid, eff)

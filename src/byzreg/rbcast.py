@@ -85,26 +85,19 @@ class ReliableBroadcast:
         self.node_id = node_id
         self.n = n
         self.t = t
-        self.mutations = frozenset(mutations)
+        # ECHOs from strictly more than (n+t)/2 distinct senders
+        self.echo_quorum = (n + t) // 2 + 1
+        if ECHO_THRESHOLD_NONSTRICT in mutations:
+            self.echo_quorum = (n + t + 1) // 2
+        self.deliver_quorum = 2 * t + 1
+        if READY_DELIVER_AT_2T in mutations:
+            self.deliver_quorum = 2 * t
         self.next_sn = [1] * n
         self.last_broadcast_sn = 0
         self.first_app: dict[int, dict[int, Value]] = {i: {} for i in range(n)}
         self.echo_senders: dict[tuple[int, int], dict[Value, set[int]]] = {}
         self.ready_senders: dict[tuple[int, int], dict[Value, set[int]]] = {}
         self.readied: dict[tuple[int, int], set[Value]] = {}
-
-    # -- thresholds -------------------------------------------------------
-
-    def _echo_quorum(self, count: int) -> bool:
-        # strictly more than (n+t)/2, computed in integers
-        if ECHO_THRESHOLD_NONSTRICT in self.mutations:
-            return 2 * count >= self.n + self.t
-        return 2 * count > self.n + self.t
-
-    def _deliver_quorum(self) -> int:
-        if READY_DELIVER_AT_2T in self.mutations:
-            return 2 * self.t
-        return 2 * self.t + 1
 
     # -- client side ------------------------------------------------------
 
@@ -140,7 +133,7 @@ class ReliableBroadcast:
         senders = self.echo_senders.setdefault((origin, sn), {}).setdefault(
             value, set())
         senders.add(sender)
-        if self._echo_quorum(len(senders)):
+        if len(senders) >= self.echo_quorum:
             return self._emit_ready(origin, value, sn)
         return []
 
@@ -192,8 +185,7 @@ class ReliableBroadcast:
 
     def _ready_complete_value(self, origin: int, sn: int):
         """First value, in vote arrival order, with a delivery quorum."""
-        quorum = self._deliver_quorum()
         for value, senders in self.ready_senders.get((origin, sn), {}).items():
-            if len(senders) >= quorum:
+            if len(senders) >= self.deliver_quorum:
                 return value
         return _NOTHING

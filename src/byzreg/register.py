@@ -3,7 +3,9 @@
 Every process holds a local copy of all n registers, one per process, each
 a (value, sequence-number) pair. Only register i's owner can advance it,
 and the only path that modifies a local copy is delivery of the owner's
-broadcast WRITE; everything else is request/reply traffic.
+broadcast WRITE; everything else is request/reply traffic. A correct
+process applies a write at the moment it r-delivers it, so the RDeliver
+effect is also the record of the register apply.
 
 A write increments the owner's write counter, reliably broadcasts the
 (value, counter) pair, and returns once n-t distinct processes have
@@ -43,15 +45,6 @@ class RegEntry:
 
 
 @dataclass(frozen=True)
-class Apply:
-    """Local copy of register writer advanced to (value, sn)."""
-
-    writer: int
-    value: Value
-    sn: int
-
-
-@dataclass(frozen=True)
 class Complete:
     """An operation started at this node finished."""
 
@@ -61,7 +54,7 @@ class Complete:
     sn: int
 
 
-Effect = Send | RDeliver | Apply | Complete
+Effect = Send | RDeliver | Complete
 
 
 @dataclass
@@ -85,9 +78,10 @@ class RegisterNode:
 
     Reactive and single-threaded: begin_write/begin_read and handle() each
     process one input to completion and return the resulting effect stream
-    (sends, deliveries, register applies, operation completions) in the
-    order things happened. Processes are sequential, so at most one
-    operation may be in flight at a time; violating that raises.
+    (sends, deliveries, operation completions) in the order things
+    happened; each delivery is applied to the local copy as it happens.
+    Processes are sequential, so at most one operation may be in flight at
+    a time; violating that raises.
     """
 
     def __init__(self, node_id: int, n: int, t: int, *,
@@ -98,6 +92,10 @@ class RegisterNode:
         self.t = t
         self.mutations = frozenset(mutations)
         self.rb = ReliableBroadcast(node_id, n, t, mutations=self.mutations)
+        # freshness reports and catch-up acks a read waits for
+        self.read_quorum = n - t
+        if READ_QUORUM_MINUS_ONE in self.mutations:
+            self.read_quorum -= 1
         if initial_values is None:
             initial_values = [None] * n
         self.registers = [RegEntry(initial_values[j], 0) for j in range(n)]
@@ -155,7 +153,7 @@ class RegisterNode:
         raise TypeError(f"unknown message type {type(msg).__name__}")
 
     def _lift(self, rb_effects) -> list[Effect]:
-        """Forward broadcast-layer output, expanding deliveries into applies."""
+        """Forward broadcast-layer output, applying each delivery after it."""
         out: list[Effect] = []
         for eff in rb_effects:
             out.append(eff)
@@ -173,7 +171,7 @@ class RegisterNode:
         """
         self.registers[writer] = RegEntry(value, sn)
         self._digest = None  # a register and rb.next_sn advanced
-        out: list[Effect] = [Apply(writer, value, sn), Send(writer, WriteDone(sn))]
+        out: list[Effect] = [Send(writer, WriteDone(sn))]
         out.extend(self._release_catchups(writer))
         out.extend(self._check_freshness(changed=writer))
         return out
@@ -198,12 +196,6 @@ class RegisterNode:
         pr.reports.setdefault(sender, msg.sn)  # first report per sender wins
         return self._check_freshness(changed=pr.target)
 
-    def _read_quorum(self) -> int:
-        q = self.n - self.t
-        if READ_QUORUM_MINUS_ONE in self.mutations:
-            q -= 1
-        return q
-
     def _check_freshness(self, changed: int) -> list[Effect]:
         """Fire the freshness guard if some n-t reports are all stale enough.
 
@@ -217,10 +209,10 @@ class RegisterNode:
             return []
         local = self.registers[pr.target]
         if NO_FRESHNESS in self.mutations:
-            satisfied = len(pr.reports) >= self._read_quorum()
+            satisfied = len(pr.reports) >= self.read_quorum
         else:
             fresh = sum(1 for rep in pr.reports.values() if rep <= local.sn)
-            satisfied = fresh >= self._read_quorum()
+            satisfied = fresh >= self.read_quorum
         if not satisfied:
             return []
         pr.chosen = local
@@ -251,7 +243,7 @@ class RegisterNode:
                 or msg.target != pr.target or msg.sn != pr.chosen.sn):
             return []
         pr.acks.add(sender)
-        if len(pr.acks) >= self._read_quorum():
+        if len(pr.acks) >= self.read_quorum:
             return self._finish_read()
         return []
 
@@ -291,7 +283,7 @@ class RegisterNode:
                              f"{self.registers[pr.target].sn})")
             else:
                 notes.append(f"p{self.node_id}: read of reg[{pr.target}] has "
-                             f"{len(pr.acks)}/{self._read_quorum()} catch-up acks")
+                             f"{len(pr.acks)}/{self.read_quorum} catch-up acks")
         for target, sn, requester in self.catchup_waiting:
             notes.append(f"p{self.node_id}: catch-up to sn {sn} of reg[{target}] "
                          f"for p{requester} waiting "

@@ -13,7 +13,8 @@ import pytest
 
 from byzreg.adversary import STRATEGIES
 from byzreg.checker import (FAIL, PASS, VACUOUS, brute_force_linearizable,
-                            count_messages, min_quorum_intersection,
+                            count_messages, derive_histories,
+                            min_quorum_intersection,
                             min_quorum_intersection_enumerated,
                             run_all_checks, validate_linearization)
 from byzreg.cli import bundled_scenario_names, resolve_scenario
@@ -138,7 +139,7 @@ def fifo_costs():
     out = {}
     for n in SIZES:
         trace = Simulation(fifo_cost_scenario(n)).run()
-        report = count_messages(trace)
+        report = count_messages(derive_histories(trace), trace)
         assert trace.outcome == "QUIESCENT"
         out[n] = report.per_op
     return out

@@ -98,8 +98,8 @@ class TestSeqSkip:
             trace, report = run_checked(cfg, seed)
             assert report.ok(), report.failures()
             applied = [e for e in trace.events
-                       if e["kind"] == "STATE_CHANGE"
-                       and e["payload"]["writer"] == byz]
+                       if e["kind"] == "RDELIVER"
+                       and e["payload"]["origin"] == byz]
             assert applied == []
 
 

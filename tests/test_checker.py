@@ -16,6 +16,7 @@ from byzreg.checker import (FAIL, PASS, VACUOUS, History, LinItem,
                             min_quorum_intersection_enumerated,
                             quorum_intersection_holds, run_all_checks,
                             validate_linearization)
+from byzreg.cli import resolve_scenario
 from byzreg.netsim import Simulation, Trace
 from byzreg.scenario import ScenarioConfig, WorkloadOp, matrix_scenario
 
@@ -36,9 +37,10 @@ def ev(kind, node, payload, sender=None, receiver=None, seq=None):
             "receiver": receiver, "payload": payload, "snapshot": "0"}
 
 
-def apply_ev(node, writer, value, sn, seq=None):
-    return ev("STATE_CHANGE", node, {"writer": writer, "value": value,
-                                     "sn": sn}, sender=writer, seq=seq)
+def rdeliver(node, origin, value, sn, seq=None):
+    """An r-delivery, which at a correct node is also its register apply."""
+    return ev("RDELIVER", node, {"origin": origin, "value": value, "sn": sn},
+              sender=origin, receiver=node, seq=seq)
 
 
 def op_start(node, kind, op_id, target, seq=None, value=None):
@@ -53,15 +55,15 @@ def op_end(node, kind, op_id, target, value, sn, seq=None):
 
 class TestDeriveHistories:
     def test_single_write_by_correct_process(self):
-        events = [apply_ev(node, 1, "x", 1) for node in (0, 1, 2)]
+        events = [rdeliver(node, 1, "x", 1) for node in (0, 1, 2)]
         hist = derive_histories(make_trace(events, byz=(3,)))
         assert hist.values[1] == ["x"]
         assert all(v.status == PASS for v in hist.derivation_verdicts)
 
     def test_byzantine_gap_excluded(self):
-        # sn 1 applied everywhere; sn 3 was delivered but never applied,
-        # so it simply does not appear as a STATE_CHANGE
-        events = [apply_ev(node, 3, "a", 1) for node in (0, 1, 2)]
+        # sn 1 applied everywhere; sn 3 follows a gap and is never
+        # r-delivered, so it does not appear as an RDELIVER
+        events = [rdeliver(node, 3, "a", 1) for node in (0, 1, 2)]
         hist = derive_histories(make_trace(events, byz=(3,)))
         assert hist.values[3] == ["a"]
 
@@ -73,8 +75,21 @@ class TestDeriveHistories:
         verdicts = {v.prop: v.status for v in hist.derivation_verdicts}
         assert verdicts["read-resolution"] == PASS
 
+    def test_unfinished_write_keeps_its_position(self):
+        events = [op_start(0, "WRITE", "w1", 0, value="a"),
+                  op_end(0, "WRITE", "w1", 0, "a", 1),
+                  op_start(0, "WRITE", "w2", 0, value="b")]
+        hist = derive_histories(make_trace(events, outcome="STUCK"))
+        assert [op.index for op in hist.ops] == [1, 2]
+
+    def test_byzantine_node_records_are_ignored(self):
+        events = [rdeliver(0, 1, "x", 1), rdeliver(3, 1, "forged", 1)]
+        hist = derive_histories(make_trace(events, byz=(3,)))
+        assert hist.values[1] == ["x"]
+        assert all(v.status == PASS for v in hist.derivation_verdicts)
+
     def test_conflicting_applies_fail_agreement(self):
-        events = [apply_ev(0, 3, "a", 1), apply_ev(1, 3, "b", 1)]
+        events = [rdeliver(0, 3, "a", 1), rdeliver(1, 3, "b", 1)]
         hist = derive_histories(make_trace(events, byz=(3,)))
         fails = [v for v in hist.derivation_verdicts if v.status == FAIL]
         assert fails and fails[0].prop == "per-writer-agreement"
@@ -96,8 +111,8 @@ class TestCheckSafety:
     def test_sequential_write_then_read_passes(self):
         events = [
             op_start(0, "WRITE", "w1", 0, seq=0),
-            apply_ev(0, 0, "a", 1, seq=1),
-            apply_ev(1, 0, "a", 1, seq=2),
+            rdeliver(0, 0, "a", 1, seq=1),
+            rdeliver(1, 0, "a", 1, seq=2),
             op_end(0, "WRITE", "w1", 0, "a", 1, seq=3),
             op_start(1, "READ", "r1", 0, seq=4),
             op_end(1, "READ", "r1", 0, "a", 1, seq=5),
@@ -110,10 +125,10 @@ class TestCheckSafety:
     def test_read_inversion_detected_with_counterexample(self):
         events = [
             op_start(0, "WRITE", "w1", 0, seq=0),
-            apply_ev(0, 0, "a", 1, seq=1),
-            apply_ev(1, 0, "a", 1, seq=2),
-            apply_ev(0, 0, "b", 2, seq=3),
-            apply_ev(1, 0, "b", 2, seq=4),
+            rdeliver(0, 0, "a", 1, seq=1),
+            rdeliver(1, 0, "a", 1, seq=2),
+            rdeliver(0, 0, "b", 2, seq=3),
+            rdeliver(1, 0, "b", 2, seq=4),
             op_end(0, "WRITE", "w1", 0, "a", 1, seq=5),
             op_start(1, "READ", "r1", 0, seq=6),
             op_end(1, "READ", "r1", 0, "b", 2, seq=7),
@@ -144,8 +159,8 @@ class TestCheckSafety:
             op_start(1, "READ", "r1", 0, seq=0),
             op_end(1, "READ", "r1", 0, "a", 1, seq=1),
             op_start(0, "WRITE", "w1", 0, seq=2),
-            apply_ev(0, 0, "a", 1, seq=3),
-            apply_ev(1, 0, "a", 1, seq=4),
+            rdeliver(0, 0, "a", 1, seq=3),
+            rdeliver(1, 0, "a", 1, seq=4),
             op_end(0, "WRITE", "w1", 0, "a", 1, seq=5),
         ]
         hist, trace = self._history(events)
@@ -158,8 +173,8 @@ class TestCheckSafety:
         events = [
             op_start(1, "READ", "r1", 3, seq=0),
             op_end(1, "READ", "r1", 3, "evil", 1, seq=1),
-            apply_ev(0, 3, "evil", 1, seq=2),
-            apply_ev(1, 3, "evil", 1, seq=3),
+            rdeliver(0, 3, "evil", 1, seq=2),
+            rdeliver(1, 3, "evil", 1, seq=3),
         ]
         hist, trace = self._history(events, byz=(3,))
         verdicts = {v.prop: v for v in check_safety(hist, trace)}
@@ -171,48 +186,45 @@ class TestCheckRb:
         return ev("SEND", origin, {"tag": "APP", "value": value, "sn": sn},
                   receiver=0)
 
-    def rdeliver(self, node, origin, value, sn):
-        return ev("RDELIVER", node, {"origin": origin, "value": value,
-                                     "sn": sn}, sender=origin, receiver=node)
+    @staticmethod
+    def statuses(trace):
+        return {v.prop: v.status
+                for v in check_rb(derive_histories(trace), trace)}
 
     def test_clean_run_all_pass(self):
         events = [self._app_send(0, "x", 1)]
-        events += [self.rdeliver(node, 0, "x", 1) for node in (0, 1, 2)]
-        verdicts = {v.prop: v.status
-                    for v in check_rb(make_trace(events, byz=(3,)))}
+        events += [rdeliver(node, 0, "x", 1) for node in (0, 1, 2)]
+        verdicts = self.statuses(make_trace(events, byz=(3,)))
         assert verdicts == {"rb-validity": PASS, "rb-integrity": PASS,
                             "rb-uniformity": PASS, "rb-termination": PASS}
 
     def test_double_delivery_fails_integrity(self):
         events = [self._app_send(0, "x", 1),
-                  self.rdeliver(1, 0, "x", 1),
-                  self.rdeliver(1, 0, "x", 1)]
-        verdicts = {v.prop: v.status for v in check_rb(make_trace(events))}
+                  rdeliver(1, 0, "x", 1),
+                  rdeliver(1, 0, "x", 1)]
+        verdicts = self.statuses(make_trace(events))
         assert verdicts["rb-integrity"] == FAIL
 
     def test_split_values_fail_uniformity(self):
-        events = [self.rdeliver(0, 3, "a", 1), self.rdeliver(1, 3, "b", 1)]
-        verdicts = {v.prop: v.status
-                    for v in check_rb(make_trace(events, byz=(3,)))}
+        events = [rdeliver(0, 3, "a", 1), rdeliver(1, 3, "b", 1)]
+        verdicts = self.statuses(make_trace(events, byz=(3,)))
         assert verdicts["rb-uniformity"] == FAIL
 
     def test_partial_delivery_fails_uniformity_only_when_quiescent(self):
-        events = [self.rdeliver(0, 3, "a", 1)]
+        events = [rdeliver(0, 3, "a", 1)]
         quiescent = make_trace(events, byz=(3,))
         cut_short = make_trace(events, byz=(3,), outcome="BUDGET_EXCEEDED")
-        assert {v.prop: v.status for v in check_rb(quiescent)}[
-            "rb-uniformity"] == FAIL
-        assert {v.prop: v.status for v in check_rb(cut_short)}[
-            "rb-uniformity"] == PASS
+        assert self.statuses(quiescent)["rb-uniformity"] == FAIL
+        assert self.statuses(cut_short)["rb-uniformity"] == PASS
 
     def test_spurious_delivery_fails_validity(self):
-        events = [self.rdeliver(1, 0, "forged", 1)]
-        verdicts = {v.prop: v.status for v in check_rb(make_trace(events))}
+        events = [rdeliver(1, 0, "forged", 1)]
+        verdicts = self.statuses(make_trace(events))
         assert verdicts["rb-validity"] == FAIL
 
     def test_missing_delivery_fails_termination(self):
-        events = [self._app_send(0, "x", 1), self.rdeliver(0, 0, "x", 1)]
-        verdicts = {v.prop: v.status for v in check_rb(make_trace(events))}
+        events = [self._app_send(0, "x", 1), rdeliver(0, 0, "x", 1)]
+        verdicts = self.statuses(make_trace(events))
         assert verdicts["rb-termination"] == FAIL
 
 
@@ -220,12 +232,24 @@ class TestCheckTermination:
     def test_budget_run_is_nonterminating(self):
         trace = make_trace([], outcome="BUDGET_EXCEEDED")
         trace.diagnostics = ["r1: running"]
-        verdict = check_termination(trace)
+        verdict = check_termination(derive_histories(trace), trace)
         assert verdict.status == "NONTERMINATING"
         assert "r1" in verdict.detail
 
     def test_zero_operations_pass(self):
-        assert check_termination(make_trace([])).status == PASS
+        trace = make_trace([])
+        assert check_termination(derive_histories(trace), trace).status == PASS
+
+    def test_open_operations_fail_in_start_order(self):
+        events = [op_start(1, "READ", "r9", 0, seq=0),
+                  op_start(0, "WRITE", "w1", 0, seq=1, value="a"),
+                  op_start(2, "READ", "r2", 0, seq=2),
+                  op_end(0, "WRITE", "w1", 0, "a", 1, seq=3)]
+        trace = make_trace(events)
+        verdict = check_termination(derive_histories(trace), trace)
+        assert verdict.status == FAIL
+        assert verdict.detail == "operations never completed: ['r9', 'r2']"
+        assert verdict.counterexample == (0, 2)
 
 
 class TestLinearization:
@@ -315,7 +339,7 @@ class TestCostAccounting:
             ])
         cfg.validate()
         trace = Simulation(cfg).run()
-        report = count_messages(trace)
+        report = count_messages(derive_histories(trace), trace)
         assert report.per_op["w1"].counts == {
             "APP": 4, "ECHO": 16, "READY": 16, "WRITE_DONE": 4}
         assert report.per_op["r1"].counts == {
@@ -361,7 +385,7 @@ class TestCostAccounting:
                     owner = op.op_id
             if owner is not None:
                 expected[(owner, tag)] += 1
-        report = count_messages(trace, history)
+        report = count_messages(history, trace)
         got = collections.Counter({
             (op_id, tag): count for op_id, cost in report.per_op.items()
             for tag, count in cost.counts.items()
@@ -378,6 +402,41 @@ class TestPayloadsReadOnly:
         before = trace.trace_hash()
         run_all_checks(trace)
         assert trace.trace_hash() == before
+
+
+def mutated(name, mutation):
+    cfg = resolve_scenario(name)
+    cfg.mutations = frozenset({mutation})
+    return cfg
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("cfg", [
+        matrix_scenario(7, None, seed=1),
+        matrix_scenario(4, "EQUIVOCATE_WRITE", seed=1),
+        matrix_scenario(4, "READY_POISON", seed=1),
+        mutated("mut-equivocate-selective", "READY_DELIVER_AT_2T"),
+        mutated("read-inversion-window", "NO_FRESHNESS"),
+    ], ids=lambda cfg: f"{cfg.name}+{','.join(cfg.mutations)}")
+    def test_checks_need_no_events_after_derive_histories(self, cfg):
+        trace = Simulation(cfg).run()
+        intact = run_all_checks(trace)
+        history = derive_histories(trace)
+        trace.events.clear()
+        verdicts = [*history.derivation_verdicts,
+                    *check_safety(history, trace),
+                    *check_rb(history, trace),
+                    check_termination(history, trace)]
+        cost = count_messages(history, trace)
+        verdicts.append(cost.verdict)
+        orders, lin_verdict = build_linearization(history, trace)
+        if not intact.failures():
+            verdicts.append(lin_verdict)
+            assert orders == intact.linearizations
+        assert verdicts == intact.verdicts
+        assert ({k: c.counts for k, c in cost.per_op.items()}
+                == {k: c.counts for k, c in intact.cost.per_op.items()})
+        assert cost.unattributed == intact.cost.unattributed
 
 
 class TestQuorumArithmetic:

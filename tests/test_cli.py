@@ -50,6 +50,13 @@ def test_invalid_json_names_the_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("seeds", ["5:3", "5:5"])
+def test_empty_seed_range_is_rejected(capsys, command, seeds):
+    assert main([command, "abd-style-fault-free", "--seeds", seeds]) == 2
+    assert f"--seeds {seeds} is empty" in capsys.readouterr().err
+
+
 def test_unknown_scenario_lists_bundled(capsys):
     assert main(["run", "no-such-scenario"]) == 2
     assert "bundled" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from byzreg.messages import Ready
 from byzreg.rbcast import RDeliver, ReliableBroadcast
-from byzreg.register import Apply, RegisterNode
+from byzreg.register import RegisterNode
 
 N, T = 4, 1
 
@@ -81,8 +81,8 @@ def test_register_sn_is_monotone_and_contiguous(events):
     for writer, value, sn, voters in events:
         for sender in sorted(voters):
             for eff in node.handle(sender, Ready(writer, value, sn)):
-                if isinstance(eff, Apply):
-                    applied[eff.writer].append(eff.sn)
+                if isinstance(eff, RDeliver):
+                    applied[eff.origin].append(eff.sn)
         for j in range(N):
             assert node.registers[j].sn == node.rb.next_sn[j] - 1
     for j in range(N):

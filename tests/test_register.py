@@ -9,8 +9,10 @@ import pytest
 from byzreg.errors import ProtocolMisuseError
 from byzreg.messages import (App, CatchUp, CatchUpDone, ReadReq, Ready,
                              StateReply, WriteDone)
-from byzreg.register import Apply, Complete, RegEntry, RegisterNode
-from byzreg.rbcast import Send
+from byzreg.mutations import (ECHO_THRESHOLD_NONSTRICT, READ_QUORUM_MINUS_ONE,
+                              READY_DELIVER_AT_2T)
+from byzreg.register import Complete, RegEntry, RegisterNode
+from byzreg.rbcast import RDeliver, Send
 
 
 def make_node(node_id=0, n=4, t=1, **kw):
@@ -58,18 +60,44 @@ class TestBeginWrite:
             node.begin_write("y")
 
 
+class TestQuorums:
+    @staticmethod
+    def thresholds(node):
+        return {"echo": node.rb.echo_quorum, "deliver": node.rb.deliver_quorum,
+                "read": node.read_quorum}
+
+    def test_unmutated_thresholds(self):
+        # n+t = 6: strictly more than 3 ECHOs, 2t+1 READYs, n-t replies
+        assert self.thresholds(make_node(n=5)) == {
+            "echo": 4, "deliver": 3, "read": 4}
+
+    @pytest.mark.parametrize("mutation,moved", [
+        (ECHO_THRESHOLD_NONSTRICT, "echo"),
+        (READY_DELIVER_AT_2T, "deliver"),
+        (READ_QUORUM_MINUS_ONE, "read"),
+    ])
+    def test_each_mutation_lowers_only_its_threshold_by_one(self, mutation,
+                                                            moved):
+        # n+t must be even: when it is odd, "more than (n+t)/2" and "at
+        # least (n+t)/2" are the same integer threshold
+        expected = self.thresholds(make_node(n=5))
+        expected[moved] -= 1
+        node = make_node(n=5, mutations=frozenset({mutation}))
+        assert self.thresholds(node) == expected
+
+
 class TestWriteDelivery:
     def test_in_sequence_write_applies_and_acks(self):
         node = make_node()
         out = rdeliver(node, 2, "a", 1)
         assert node.registers[2] == RegEntry("a", 1)
-        assert Apply(2, "a", 1) in out
+        assert RDeliver(2, "a", 1) in out
         assert Send(2, WriteDone(1)) in out
 
     def test_gap_buffers_without_state_change(self):
         node = make_node()
         out = rdeliver(node, 2, "c", 3)
-        assert not any(isinstance(e, Apply) for e in out)
+        assert not any(isinstance(e, RDeliver) for e in out)
         assert not any(isinstance(p, WriteDone) for p in payloads(out))
         assert node.registers[2].sn == 0
 
