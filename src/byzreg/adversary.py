@@ -36,8 +36,6 @@ class AdversaryStrategy:
         self.t = t
         self.params = dict(params)
         self.rng = random.Random(f"{seed}:{self.name}")
-        # one object per node, so the simulator's snapshot cache hits
-        self._digests = {pid: (self.name, pid) for pid in self.nodes}
 
     # Under ADVERSARIAL_REORDER, a method mapping a netsim.PendingMessage to
     # a rank (lowest delivered first), called once per send. None keeps
@@ -49,9 +47,6 @@ class AdversaryStrategy:
 
     def on_deliver(self, pid: int, sender: int, payload: Message) -> list[Send]:
         return []
-
-    def digest(self, pid: int) -> tuple:
-        return self._digests[pid]
 
 
 class CrashSilent(AdversaryStrategy):
@@ -220,8 +215,6 @@ class ColludeDelay(AdversaryStrategy):
         self.favored = int(params.get("favored", 0))
         self.victim = params.get("victim")
         self.inner = {pid: RegisterNode(pid, n, t) for pid in nodes}
-        self._digests = {pid: (self.name, pid, node.digest())
-                         for pid, node in self.inner.items()}
 
     def _sends_only(self, effects) -> list[Send]:
         return [e for e in effects if isinstance(e, Send)]
@@ -247,13 +240,6 @@ class ColludeDelay(AdversaryStrategy):
                 return 0
             return 3 if msg.receiver == self.victim else 2
         return 1
-
-    def digest(self, pid):
-        inner = self.inner[pid].digest()
-        wrapped = self._digests[pid]
-        if wrapped[2] is not inner:
-            wrapped = self._digests[pid] = (self.name, pid, inner)
-        return wrapped
 
 
 STRATEGIES: dict[str, type[AdversaryStrategy]] = {

@@ -22,10 +22,8 @@ no entry is due costs a constant-time check, however long the workload.
 
 Each run produces a trace: one structured record per event with a fixed
 field order, so a (scenario, seed) pair reproduces the identical byte
-stream. A record's "snapshot" field is the crc32, in hex, of the state
-digest of the node it happened at, as that digest stands when the record
-is written (so a DELIVER or OP_START shows the state before the node
-handles its input). It is recomputed only when the digest changes. The
+stream. The run ends with one FINAL record per correct node, in pid order,
+holding that node's registers and operation counters as plain JSON. The
 trace is the only input the checker ever looks at.
 
 A record's "payload" dict is shared: a message's SEND and DELIVER records,
@@ -38,7 +36,6 @@ import hashlib
 import heapq
 import json
 import random
-import zlib
 from dataclasses import dataclass, field
 
 from .adversary import AdversaryStrategy, build_strategy
@@ -121,7 +118,9 @@ class Trace:
     t: int
     seed: int
     scheduler: str
+    adversary: str | None  # strategy name
     byzantine: tuple[int, ...]
+    step_budget: int
     outcome: str
     expect_nonterminating: bool
     # one dict per event, in seq order; payload dicts are shared between
@@ -145,6 +144,10 @@ class Trace:
             "scheduler": self.scheduler,
             "byzantine": list(self.byzantine),
             "outcome": self.outcome,
+            "adversary": self.adversary,
+            "step_budget": self.step_budget,
+            "expect_nonterminating": self.expect_nonterminating,
+            "diagnostics": self.diagnostics,
         }
 
     def jsonl(self) -> str:
@@ -198,21 +201,8 @@ class Simulation:
                 self._arm(index)
             else:
                 self._dependents.setdefault(entry.after, []).append(index)
-        self._snapshots: dict[int, tuple[tuple, str]] = {}  # pid -> digest, hex
 
     # -- trace plumbing ------------------------------------------------------
-
-    def _snapshot(self, pid: int) -> str:
-        if pid in self.byzantine:
-            digest = self.strategy.digest(pid)  # set whenever pid is Byzantine
-        else:
-            digest = self.nodes[pid].digest()
-        cached = self._snapshots.get(pid)
-        if cached is not None and cached[0] is digest:
-            return cached[1]
-        snap = format(zlib.crc32(repr(digest).encode()), "08x")
-        self._snapshots[pid] = (digest, snap)
-        return snap
 
     def _record(self, kind: str, node: int, sender, receiver,
                 payload: dict) -> dict:
@@ -224,7 +214,6 @@ class Simulation:
             "sender": sender,
             "receiver": receiver,
             "payload": payload,
-            "snapshot": self._snapshot(node),
         }
         self._seq += 1
         self.events.append(event)
@@ -393,25 +382,35 @@ class Simulation:
             if self.step() is not None:
                 deliveries += 1
                 continue
-            if self._timed:
-                # idle network: jump to the next time-triggered entry
-                self.time = self._timed[0][0]
+            if self._advance_idle_time():
                 continue
             if all(state == "done" for state in self._op_state.values()):
                 outcome = OUTCOME_QUIESCENT
             else:
                 outcome = OUTCOME_STUCK
             break
+        for pid in sorted(self.nodes):
+            self._record("FINAL", pid, None, None, self.nodes[pid].digest())
         self.halted = True
+        adversary = self.scenario.adversary
         return Trace(
             scenario_name=self.scenario.name,
             n=self.n, t=self.t, seed=self.scenario.seed,
             scheduler=self.scenario.scheduler,
+            adversary=adversary.name if adversary is not None else None,
             byzantine=tuple(sorted(self.byzantine)),
+            step_budget=self.scenario.step_budget,
             outcome=outcome,
             expect_nonterminating=self.scenario.expect_nonterminating,
             events=self.events,
             diagnostics=self._diagnostics(outcome))
+
+    def _advance_idle_time(self) -> bool:
+        """On an idle network, jump to the next time-triggered entry."""
+        if not self._timed:
+            return False
+        self.time = self._timed[0][0]
+        return True
 
     def _diagnostics(self, outcome: str) -> list[str]:
         if outcome == OUTCOME_QUIESCENT:

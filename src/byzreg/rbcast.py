@@ -150,9 +150,6 @@ class ReliableBroadcast:
         out.extend(self._deliver_ready_instances(origin))
         return out
 
-    def digest(self) -> tuple:
-        return (tuple(self.next_sn), self.last_broadcast_sn)
-
     # -- internals --------------------------------------------------------
 
     def _emit_ready(self, origin: int, value: Value, sn: int) -> list[Send]:

@@ -105,21 +105,18 @@ class RegisterNode:
         self.pending_read: PendingRead | None = None
         # catch-up requests waiting for the local copy to reach their sn
         self.catchup_waiting: list[tuple[int, int, int]] = []
-        self._digest: tuple | None = None  # see digest()
 
     # -- client operations --------------------------------------------------
 
     def begin_write(self, value: Value) -> list[Effect]:
         self._require_idle("write")
         self.write_sn += 1
-        self._digest = None
         self.pending_write = PendingWrite(self.write_sn, value)
         return list(self.rb.broadcast(value, self.write_sn))
 
     def begin_read(self, target: int) -> list[Effect]:
         self._require_idle("read")
         self.read_sn[target] += 1
-        self._digest = None
         self.pending_read = PendingRead(target, self.read_sn[target])
         return to_all(self.n, ReadReq(target, self.read_sn[target]))
 
@@ -170,7 +167,6 @@ class RegisterNode:
         and without gaps, so sn is always one past the local copy.
         """
         self.registers[writer] = RegEntry(value, sn)
-        self._digest = None  # a register and rb.next_sn advanced
         out: list[Effect] = [Send(writer, WriteDone(sn))]
         out.extend(self._release_catchups(writer))
         out.extend(self._check_freshness(changed=writer))
@@ -255,18 +251,10 @@ class RegisterNode:
 
     # -- misc ----------------------------------------------------------------
 
-    def digest(self) -> tuple:
-        """Registers, op counters and broadcast progress, as one tuple.
-
-        The tuple is cached, and the same object is returned until the
-        state it covers changes: an operation starts, a register copy
-        advances, or the broadcast layer r-delivers.
-        """
-        if self._digest is None:
-            self._digest = (tuple((r.value, r.sn) for r in self.registers),
-                            self.write_sn, tuple(self.read_sn),
-                            self.rb.digest())
-        return self._digest
+    def digest(self) -> dict:
+        """Register copies and operation counters, as plain JSON."""
+        return {"registers": [[r.value, r.sn] for r in self.registers],
+                "write_sn": self.write_sn, "read_sn": list(self.read_sn)}
 
     def guard_diagnostics(self) -> list[str]:
         """Human-readable summary of every unsatisfied guard, for stuck runs."""

@@ -195,12 +195,17 @@ class ScenarioConfig:
             _typed(raw, dict, where)
             if "id" not in raw or "process" not in raw or "op" not in raw:
                 raise ScenarioError(f"{where} needs 'id', 'process' and 'op'")
+            after = raw.get("after")
+            if after is not None:
+                _typed(after, str, f"{where} after")
             workload.append(WorkloadOp(
-                id=str(raw["id"]), process=_int(raw["process"], f"{where} process"),
-                op=str(raw["op"]), value=raw.get("value"),
+                id=_typed(raw["id"], str, f"{where} id"),
+                process=_int(raw["process"], f"{where} process"),
+                op=str(raw["op"]),
+                value=_scalar(raw.get("value"), f"{where} value"),
                 target=_int(raw.get("target"), f"{where} target", optional=True),
                 at=_int(raw.get("at"), f"{where} at", optional=True),
-                after=raw.get("after")))
+                after=after))
         adversary = None
         if doc.get("adversary") is not None:
             raw = _typed(doc["adversary"], dict, "adversary")
@@ -214,7 +219,8 @@ class ScenarioConfig:
                                    "adversary 'params'")))
         init_values = doc.get("init_values")
         if init_values is not None:
-            _typed(init_values, list, "init_values")
+            for value in _typed(init_values, list, "init_values"):
+                _scalar(value, "init_values entry")
         mutations = [_typed(m, str, "mutation name")
                      for m in _typed(doc.get("mutations", []), list, "mutations")]
         cfg = cls(
@@ -260,6 +266,14 @@ def _typed(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise ScenarioError(
             f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _scalar(value, what: str):
+    """value itself if it is a JSON string, number, boolean or null."""
+    if value is not None and not isinstance(value, (str, int, float)):
+        raise ScenarioError(f"{what} must be a JSON string, number, boolean "
+                            f"or null, got {value!r}")
     return value
 
 

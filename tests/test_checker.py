@@ -23,7 +23,8 @@ from byzreg.scenario import ScenarioConfig, WorkloadOp, matrix_scenario
 
 def make_trace(events, n=4, t=1, byz=(), outcome="QUIESCENT"):
     return Trace(scenario_name="synthetic", n=n, t=t, seed=0,
-                 scheduler="RANDOM", byzantine=tuple(byz), outcome=outcome,
+                 scheduler="RANDOM", adversary=None, byzantine=tuple(byz),
+                 step_budget=1000, outcome=outcome,
                  expect_nonterminating=False, events=list(events))
 
 
@@ -34,7 +35,7 @@ def ev(kind, node, payload, sender=None, receiver=None, seq=None):
     seq = next(_seq) if seq is None else seq
     return {"seq": seq, "time": seq, "kind": kind, "node": node,
             "sender": node if sender is None else sender,
-            "receiver": receiver, "payload": payload, "snapshot": "0"}
+            "receiver": receiver, "payload": payload}
 
 
 def rdeliver(node, origin, value, sn, seq=None):

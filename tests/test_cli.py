@@ -192,7 +192,18 @@ def with_entry_field(i, field, value):
      "adversary 'nodes' must be a JSON array, got 3"),
     (small_doc(allow_t_violation="false"),
      "allow_t_violation must be a JSON boolean, got 'false'"),
-], ids=["n", "target", "at", "entry", "nodes", "flag"])
+    (with_entry_field(0, "value", [1, 2]),
+     "workload entry #0 value must be a JSON string, number, boolean or "
+     "null, got [1, 2]"),
+    (small_doc(init_values=["a", {"b": 1}, "c", "d"]),
+     "init_values entry must be a JSON string, number, boolean or null, "
+     "got {'b': 1}"),
+    (with_entry_field(0, "id", 1),
+     "workload entry #0 id must be a JSON string, got 1"),
+    (with_entry_field(1, "after", 1),
+     "workload entry #1 after must be a JSON string, got 1"),
+], ids=["n", "target", "at", "entry", "nodes", "flag", "value", "init-value",
+        "id", "after"])
 def test_malformed_field_types_are_scenario_errors(tmp_path, capsys, doc,
                                                    message):
     with pytest.raises(ScenarioError, match=re.escape(message)):

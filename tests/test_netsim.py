@@ -4,11 +4,14 @@ import json
 
 import pytest
 
+from byzreg.adversary import STRATEGIES
+from byzreg.cli import bundled_scenario_names, resolve_scenario
 from byzreg.errors import ScenarioError, SimulationClosedError
 from byzreg.messages import WriteDone
 from byzreg.netsim import PendingMessage, Simulation, _InFlightPool
 from byzreg.rbcast import Send
-from byzreg.scenario import AdversarySpec, ScenarioConfig, WorkloadOp
+from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
+                             matrix_scenario)
 
 
 def small_scenario(**kw):
@@ -69,7 +72,7 @@ class TestLifecycle:
     def test_empty_workload_is_immediately_quiescent(self):
         trace = Simulation(small_scenario(workload=[])).run()
         assert trace.outcome == "QUIESCENT"
-        assert trace.events == []
+        assert [e["kind"] for e in trace.events] == ["FINAL"] * 4
 
     def test_budget_exhaustion_marks_nonterminating(self):
         trace = Simulation(small_scenario(step_budget=5)).run()
@@ -235,4 +238,63 @@ class TestChannelSemantics:
         line = trace.jsonl().splitlines()[1]
         keys = list(json.loads(line).keys())
         assert keys == ["seq", "time", "kind", "node", "sender", "receiver",
-                        "payload", "snapshot"]
+                        "payload"]
+
+
+def final_state_cases():
+    for name in bundled_scenario_names():
+        cfg = resolve_scenario(name)
+        for seed in range(5):
+            yield cfg.with_seed(seed)
+    for n in (4, 7):
+        for strategy in (None, *sorted(STRATEGIES)):
+            yield matrix_scenario(n, strategy, 0)
+    yield small_scenario(init_values=["i0", "i1", "i2", "i3"])
+
+
+@pytest.fixture(scope="module")
+def final_state_runs():
+    return [(cfg, Simulation(cfg).run()) for cfg in final_state_cases()]
+
+
+def rebuilt_state(trace, init_values, pid):
+    """A correct node's end state, rebuilt from its own trace records."""
+    init = init_values if init_values is not None else [None] * trace.n
+    registers = [[init[j], 0] for j in range(trace.n)]
+    write_sn, read_sn = 0, [0] * trace.n
+    for e in trace.events:
+        if e["node"] != pid:
+            continue
+        p = e["payload"]
+        if e["kind"] == "RDELIVER":
+            registers[p["origin"]] = [p["value"], p["sn"]]
+        elif e["kind"] == "OP_START" and p["op"] == "WRITE":
+            write_sn += 1
+        elif e["kind"] == "OP_START":
+            read_sn[p["target"]] += 1
+    return {"registers": registers, "write_sn": write_sn, "read_sn": read_sn}
+
+
+class TestFinalRecords:
+    def test_final_state_matches_the_nodes_own_records(self, final_state_runs):
+        """A node whose state drifts from what it recorded is caught.
+
+        For example, an apply that advances the wrong register copy still
+        records the right RDELIVER, so only the end state shows it.
+        """
+        for cfg, trace in final_state_runs:
+            finals = {e["node"]: e["payload"] for e in trace.events
+                      if e["kind"] == "FINAL"}
+            for pid in trace.correct_nodes():
+                want = rebuilt_state(trace, cfg.init_values, pid)
+                assert finals[pid] == want, (cfg.name, cfg.seed, pid)
+
+    def test_final_records_close_the_trace_in_pid_order(self,
+                                                        final_state_runs):
+        for cfg, trace in final_state_runs:
+            correct = trace.correct_nodes()
+            finals = [e for e in trace.events if e["kind"] == "FINAL"]
+            assert finals == trace.events[len(trace.events) - len(correct):]
+            assert [e["node"] for e in finals] == correct
+            assert all(e["sender"] is None and e["receiver"] is None
+                       for e in finals)

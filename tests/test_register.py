@@ -135,42 +135,6 @@ class TestWriteCompletion:
         assert node.pending_write.acks == set()
 
 
-def uncached_digest(node):
-    return (tuple((r.value, r.sn) for r in node.registers), node.write_sn,
-            tuple(node.read_sn), node.rb.digest())
-
-
-class TestDigest:
-    def test_same_object_while_state_is_unchanged(self):
-        node = make_node()
-        d0 = node.digest()
-        node.handle(1, ReadReq(2, 1))
-        node.handle(1, WriteDone(7))
-        assert node.digest() is d0
-
-    def test_refreshed_by_every_state_change(self):
-        node = make_node()
-        seen = [node.digest()]
-
-        def changed():
-            d = node.digest()
-            assert d == uncached_digest(node)
-            assert d not in seen
-            seen.append(d)
-
-        node.begin_write("x")
-        changed()
-        node.pending_write = None
-        node.begin_read(2)
-        changed()
-        rdeliver(node, 2, "a", 1)
-        assert node.registers[2] == RegEntry("a", 1)
-        changed()
-        rdeliver(node, 1, "b", 1)
-        assert node.registers[1] == RegEntry("b", 1)
-        changed()
-
-
 class TestBeginRead:
     def test_first_read_broadcasts_rsn_one(self):
         node = make_node()

@@ -7,8 +7,7 @@ produce byte-identical traces for any acyclic workload.
 """
 from hypothesis import example, given, settings, strategies as st
 
-from byzreg.netsim import (OUTCOME_BUDGET, OUTCOME_QUIESCENT, OUTCOME_STUCK,
-                           Simulation, Trace)
+from byzreg.netsim import Simulation
 from byzreg.scenario import AdversarySpec, ScenarioConfig, WorkloadOp
 
 N, T, BYZ = 4, 1, 3
@@ -74,32 +73,6 @@ class ReferenceSimulation(Simulation):
             return False
         self.time = min(candidates)
         return True
-
-    def run(self) -> Trace:
-        deliveries = 0
-        while True:
-            if deliveries >= self.scenario.step_budget:
-                outcome = OUTCOME_BUDGET
-                break
-            if self.step() is not None:
-                deliveries += 1
-                continue
-            if self._advance_idle_time():
-                continue
-            if all(state == "done" for state in self._op_state.values()):
-                outcome = OUTCOME_QUIESCENT
-            else:
-                outcome = OUTCOME_STUCK
-            break
-        self.halted = True
-        return Trace(
-            scenario_name=self.scenario.name,
-            n=self.n, t=self.t, seed=self.scenario.seed,
-            scheduler=self.scenario.scheduler,
-            byzantine=tuple(sorted(self.byzantine)),
-            outcome=outcome,
-            expect_nonterminating=self.scenario.expect_nonterminating,
-            events=self.events)
 
 
 @st.composite
