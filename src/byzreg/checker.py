@@ -17,9 +17,12 @@ and then decides:
   write that finished before it started, and a later read never returns an
   older value than an earlier one;
 * the broadcast-layer properties (validity, integrity, uniformity,
-  termination) over the recorded deliveries;
-* liveness: on runs that reached quiescence, every started operation
-  finished;
+  termination) over the recorded deliveries; termination and the
+  all-or-none part of uniformity on quiescent runs only;
+* liveness: on quiescent runs, every started operation finished. A run
+  is quiescent when every message sent to a correct process was
+  delivered: it ended QUIESCENT, or SETTLED with only messages to
+  Byzantine processes set aside (see ``netsim``);
 * message cost: every completed read costs at most 4n sends among correct
   processes and every write at most 2n^2 + 2n, with exact equality in
   fault-free runs;

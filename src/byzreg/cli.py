@@ -4,9 +4,9 @@ Subcommands:
 
 * ``run``     one scenario, one or more seeds; writes traces and verdict
               reports, exits non-zero on any failure.
-* ``sweep``   seed range with aggregate statistics and a per-operation
-              message-cost table; reports the first failing seed with a
-              replay command.
+* ``sweep``   seed range with aggregate statistics (run outcomes, verdicts)
+              and a per-operation message-cost table; reports the first
+              failing seed with a replay command.
 * ``replay``  re-run one (scenario, seed) pair and print its trace hash.
 * ``list``    bundled scenario names.
 
@@ -135,10 +135,12 @@ def cmd_sweep(args) -> int:
     cfg = load_with_overrides(args)
     seeds = parse_seeds(args, cfg.seed)
     first_failure = None
+    outcomes: dict[str, int] = {}
     verdict_totals: dict[str, dict[str, int]] = {}
     costs: dict[str, list[int]] = {"READ": [], "WRITE": []}
     for seed in seeds:
         trace, report = run_one(cfg, seed)
+        outcomes[trace.outcome] = outcomes.get(trace.outcome, 0) + 1
         for v in report.verdicts:
             verdict_totals.setdefault(v.prop, {}).setdefault(v.status, 0)
             verdict_totals[v.prop][v.status] += 1
@@ -149,6 +151,8 @@ def cmd_sweep(args) -> int:
             first_failure = (seed, trace, report)
     bounds = cost_bounds(cfg.n)
     print(f"sweep {cfg.name}: {len(seeds)} seeds")
+    print("  outcomes: " + ", ".join(f"{outcome}={count}" for outcome, count
+                                     in sorted(outcomes.items())))
     for prop in sorted(verdict_totals):
         line = ", ".join(f"{status}={count}" for status, count
                          in sorted(verdict_totals[prop].items()))
@@ -162,6 +166,7 @@ def cmd_sweep(args) -> int:
     doc = {
         "scenario": cfg.name,
         "seeds": [seeds[0], seeds[-1]],
+        "outcomes": dict(sorted(outcomes.items())),
         "verdicts": verdict_totals,
         "costs": {k: {"min": min(v), "max": max(v),
                       "median": statistics.median(v)}

@@ -5,8 +5,24 @@ asynchronous channels. Nothing is ever lost or corrupted; asynchrony is
 modeled by letting a scheduler pick any in-flight message to deliver next.
 A fairness bound keeps transit times finite: once a message has been
 passed over that many times it is delivered before any fresher one, oldest
-first. Under ADVERSARIAL_REORDER a strategy may rank each message once,
-when it is sent; the lowest-ranked message in flight goes next.
+first. Messages between two correct processes come first among those:
+when the oldest of them is overdue it goes next, however many older
+messages to or from Byzantine processes are waiting. So Byzantine volume
+cannot stretch the delay between correct processes much past the bound.
+Under ADVERSARIAL_REORDER a strategy may rank each message once, when it
+is sent; the lowest-ranked message in flight goes next.
+
+Once the last workload entry is done, the run settles: messages addressed
+to Byzantine processes, those in flight and those sent later, are set
+aside and never delivered (their SEND records stay). Withholding input
+from a Byzantine process cannot be told apart from that process ignoring
+it, so this is still a valid execution. Delivery goes on, with the same
+scheduler, until nothing is in flight to a correct process, so every
+message sent to a correct process is delivered. The outcome is QUIESCENT
+if nothing was set aside, and SETTLED otherwise, with the set-aside count
+in the diagnostics. Without the settle phase, a Byzantine node that
+answers every delivery with more traffic would keep a finished run going
+until the step budget.
 
 Logical time is the number of deliveries so far. Before each delivery
 the simulator starts every workload entry that has become ready: its
@@ -46,27 +62,31 @@ from .register import Complete, RegisterNode
 from .scenario import ScenarioConfig, WorkloadOp
 
 OUTCOME_QUIESCENT = "QUIESCENT"
+OUTCOME_SETTLED = "SETTLED"
 OUTCOME_BUDGET = "BUDGET_EXCEEDED"
 OUTCOME_STUCK = "STUCK"
 
 
 class PendingMessage:
-    __slots__ = ("id", "sender", "receiver", "payload", "enqueue_time")
+    __slots__ = ("id", "sender", "receiver", "payload", "enqueue_time",
+                 "correct")
 
     def __init__(self, mid: int, sender: int, receiver: int,
-                 payload: Message, enqueue_time: int):
+                 payload: Message, enqueue_time: int, correct: bool = True):
         self.id = mid
         self.sender = sender
         self.receiver = receiver
         self.payload = payload
         self.enqueue_time = enqueue_time
+        self.correct = correct  # sender and receiver are both correct
 
 
 class _InFlightPool:
     """In-flight message multiset with amortized O(1) oldest, O(1) random.
 
-    Message ids must be added in increasing order, as the simulator
-    issues them.
+    A second cursor finds the oldest message between correct processes,
+    also in amortized O(1). Message ids must be added in increasing order,
+    as the simulator issues them.
     """
 
     def __init__(self):
@@ -74,6 +94,10 @@ class _InFlightPool:
         self._order: list[int] = []
         self._pos: dict[int, int] = {}
         self._low = 0  # no id below this is still in flight
+        # no id below this is a message between correct processes still in
+        # flight, and no id at or above _top was ever added
+        self._low_correct = 0
+        self._top = 0
 
     def __len__(self):
         return len(self._by_id)
@@ -82,6 +106,7 @@ class _InFlightPool:
         self._by_id[msg.id] = msg
         self._pos[msg.id] = len(self._order)
         self._order.append(msg.id)
+        self._top = msg.id + 1
 
     def remove(self, mid: int) -> PendingMessage:
         msg = self._by_id.pop(mid)
@@ -101,6 +126,26 @@ class _InFlightPool:
             low += 1
         self._low = low
         return by_id[low]
+
+    def oldest_correct(self) -> PendingMessage | None:
+        """The oldest message between correct processes, or None."""
+        by_id, low, top = self._by_id, self._low_correct, self._top
+        while low < top:
+            msg = by_id.get(low)
+            if msg is not None and msg.correct:
+                self._low_correct = low
+                return msg
+            low += 1
+        self._low_correct = low
+        return None
+
+    def drop_to(self, receivers: frozenset[int]) -> int:
+        """Remove every message addressed to receivers; return how many."""
+        doomed = [mid for mid, msg in self._by_id.items()
+                  if msg.receiver in receivers]
+        for mid in doomed:
+            self.remove(mid)
+        return len(doomed)
 
     def pick_random(self, rng: random.Random) -> PendingMessage:
         return self._by_id[self._order[rng.randrange(len(self._order))]]
@@ -132,7 +177,8 @@ class Trace:
         return [p for p in range(self.n) if p not in self.byzantine]
 
     def quiescent(self) -> bool:
-        return self.outcome == OUTCOME_QUIESCENT
+        """Every message sent to a correct process was delivered."""
+        return self.outcome in (OUTCOME_QUIESCENT, OUTCOME_SETTLED)
 
     def meta_record(self) -> dict:
         return {
@@ -190,6 +236,9 @@ class Simulation:
         self.events: list[dict] = []
         self.halted = False
         self._op_state = {op.id: "waiting" for op in scenario.workload}
+        self._open = len(scenario.workload)  # entries not yet done
+        # messages to Byzantine processes set aside; None until settling
+        self._aside: int | None = None
         self._running: dict[int, WorkloadOp] = {}  # process -> live entry
         # trigger indexes over workload positions; see _fire_workload
         self._ready: list[int] = []  # heap: triggers met, not yet started
@@ -229,18 +278,31 @@ class Simulation:
             raise ValueError("sender/receiver out of range")
         mid = self._next_mid
         self._next_mid += 1
-        msg = PendingMessage(mid, sender, receiver, payload, self.time)
+        self._record("SEND", sender, sender, receiver, payload.to_wire())
+        byzantine = self.byzantine
+        if receiver in byzantine and self._aside is not None:
+            self._aside += 1
+            return mid
+        msg = PendingMessage(mid, sender, receiver, payload, self.time,
+                             sender not in byzantine
+                             and receiver not in byzantine)
         self.pool.add(msg)
         if self._reorder:
             rank = self.strategy.delivery_rank
             if rank is not None:
                 heapq.heappush(self._ranked, (rank(msg), mid))
-        self._record("SEND", sender, sender, receiver, payload.to_wire())
         return mid
 
     def _choose(self) -> PendingMessage:
+        bound = self.scenario.fairness_bound
         oldest = self.pool.oldest()
-        if self.time - oldest.enqueue_time >= self.scenario.fairness_bound:
+        if self.time - oldest.enqueue_time >= bound:
+            if not oldest.correct:
+                # an overdue message between correct processes goes first
+                first = self.pool.oldest_correct()
+                if first is not None and (self.time - first.enqueue_time
+                                          >= bound):
+                    return first
             return oldest
         if self.scenario.scheduler == "FIFO":
             return oldest
@@ -295,6 +357,9 @@ class Simulation:
 
     def _mark_done(self, entry: WorkloadOp) -> None:
         self._op_state[entry.id] = "done"
+        self._open -= 1
+        if self._open == 0:  # the last entry: settle
+            self._aside = self.pool.drop_to(self.byzantine)
         for index in self._dependents.pop(entry.id, ()):
             self._arm(index)
 
@@ -384,10 +449,12 @@ class Simulation:
                 continue
             if self._advance_idle_time():
                 continue
-            if all(state == "done" for state in self._op_state.values()):
-                outcome = OUTCOME_QUIESCENT
-            else:
+            if self._open:
                 outcome = OUTCOME_STUCK
+            elif self._aside:
+                outcome = OUTCOME_SETTLED
+            else:
+                outcome = OUTCOME_QUIESCENT
             break
         for pid in sorted(self.nodes):
             self._record("FINAL", pid, None, None, self.nodes[pid].digest())
@@ -415,6 +482,8 @@ class Simulation:
     def _diagnostics(self, outcome: str) -> list[str]:
         if outcome == OUTCOME_QUIESCENT:
             return []
+        if outcome == OUTCOME_SETTLED:
+            return [f"{self._aside} messages to Byzantine processes set aside"]
         notes = [f"{opid}: {state}" for opid, state in self._op_state.items()
                  if state != "done"]
         for pid in sorted(self.nodes):

@@ -41,14 +41,15 @@ def criterion(number: int, text: str, ok: bool, extra: str = "") -> None:
 
 
 class RunRecord:
-    __slots__ = ("n", "strategy", "seed", "outcome", "statuses", "ok",
-                 "byz_origin_delivered")
+    __slots__ = ("n", "strategy", "seed", "outcome", "quiescent", "statuses",
+                 "ok", "byz_origin_delivered")
 
     def __init__(self, n, strategy, seed, trace, report):
         self.n = n
         self.strategy = strategy
         self.seed = seed
         self.outcome = trace.outcome
+        self.quiescent = trace.quiescent()
         self.statuses = {v.prop: v.status for v in report.verdicts}
         self.ok = report.ok()
         byz = set(trace.byzantine)
@@ -96,10 +97,11 @@ def test_criterion_1_safety_suite(matrix):
 
 def test_criterion_2_liveness_suite(matrix):
     non_quiescent = [(r.n, r.strategy, r.seed, r.outcome)
-                     for r in matrix if r.outcome != "QUIESCENT"]
+                     for r in matrix if not r.quiescent]
     stuck = [(r.n, r.strategy, r.seed) for r in matrix
              if r.statuses.get("termination") != PASS]
-    criterion(2, "liveness: every run quiesces and every operation returns",
+    criterion(2, "liveness: every run quiesces or settles and every "
+                 "operation returns",
               not non_quiescent and not stuck,
               f"bad: {(non_quiescent + stuck)[:3]}"
               if non_quiescent or stuck else "")

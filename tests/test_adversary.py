@@ -27,7 +27,7 @@ def test_safety_holds_under_every_strategy(strategy):
     for seed in SEEDS:
         trace, report = run_checked(cfg, seed)
         assert report.ok(), (strategy, seed, report.failures())
-        assert trace.outcome == "QUIESCENT"
+        assert trace.quiescent(), (strategy, seed, trace.outcome)
 
 
 class TestEquivocate:
@@ -74,7 +74,7 @@ class TestStaleState:
         cfg.validate()
         for seed in SEEDS:
             trace, report = run_checked(cfg, seed)
-            assert trace.outcome == "QUIESCENT", trace.diagnostics
+            assert trace.quiescent(), (trace.outcome, trace.diagnostics)
             assert report.ok(), report.failures()
 
 

@@ -215,8 +215,11 @@ class TestCheckRb:
         events = [rdeliver(0, 3, "a", 1)]
         quiescent = make_trace(events, byz=(3,))
         cut_short = make_trace(events, byz=(3,), outcome="BUDGET_EXCEEDED")
+        # settled: only messages to Byzantine processes went undelivered
+        settled = make_trace(events, byz=(3,), outcome="SETTLED")
         assert self.statuses(quiescent)["rb-uniformity"] == FAIL
         assert self.statuses(cut_short)["rb-uniformity"] == PASS
+        assert self.statuses(settled)["rb-uniformity"] == FAIL
 
     def test_spurious_delivery_fails_validity(self):
         events = [rdeliver(1, 0, "forged", 1)]
@@ -251,6 +254,13 @@ class TestCheckTermination:
         assert verdict.status == FAIL
         assert verdict.detail == "operations never completed: ['r9', 'r2']"
         assert verdict.counterexample == (0, 2)
+
+    def test_settled_run_with_an_open_operation_fails(self):
+        events = [op_start(1, "READ", "r1", 0, seq=0)]
+        trace = make_trace(events, byz=(3,), outcome="SETTLED")
+        verdict = check_termination(derive_histories(trace), trace)
+        assert verdict.status == FAIL
+        assert verdict.counterexample == (0,)
 
 
 class TestLinearization:

@@ -97,6 +97,15 @@ def test_sweep_prints_cost_table(capsys):
     assert "WRITE sends/op: min=40 median=40 max=40 bound=40" in out
 
 
+def test_sweep_tallies_run_outcomes(tmp_path, capsys):
+    # seed 0 ends with messages to the crashed p3 set aside
+    assert main(["sweep", "write-termination", "--seeds", "0:5",
+                 "--out", str(tmp_path)]) == 0
+    assert "  outcomes: QUIESCENT=4, SETTLED=1\n" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "write-termination-sweep.json").read_text())
+    assert doc["outcomes"] == {"QUIESCENT": 4, "SETTLED": 1}
+
+
 def test_random_schedules_respect_cost_bounds(capsys):
     assert main(["sweep", "abd-style-fault-free", "--seeds", "0:10"]) == 0
     out = capsys.readouterr().out

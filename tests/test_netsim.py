@@ -1,10 +1,12 @@
 """Simulator behavior: determinism, fairness, lifecycle, channel semantics."""
 import collections
+import dataclasses
 import json
 
 import pytest
 
-from byzreg.adversary import STRATEGIES
+from byzreg.adversary import STRATEGIES, ReadyPoison
+from byzreg.checker import run_all_checks
 from byzreg.cli import bundled_scenario_names, resolve_scenario
 from byzreg.errors import ScenarioError, SimulationClosedError
 from byzreg.messages import WriteDone
@@ -160,6 +162,30 @@ class TestInFlightPool:
         assert pool.oldest().id == 6
         assert len(pool) == 1
 
+    def test_oldest_correct_skips_delivered_and_byzantine_messages(self):
+        pool = _InFlightPool()
+        for mid in range(5):
+            pool.add(PendingMessage(mid, 0, 1, WriteDone(mid), mid,
+                                    correct=mid % 2 == 1))
+        assert pool.oldest().id == 0
+        assert pool.oldest_correct().id == 1
+        pool.remove(1)
+        assert pool.oldest_correct().id == 3
+        pool.remove(3)
+        assert pool.oldest_correct() is None
+        pool.add(PendingMessage(5, 0, 1, WriteDone(5), 5))
+        assert pool.oldest_correct().id == 5
+
+    def test_drop_to_removes_only_messages_to_the_receivers(self):
+        pool = _InFlightPool()
+        for mid in range(6):
+            pool.add(PendingMessage(mid, 0, mid % 3, WriteDone(mid), mid))
+        assert pool.drop_to(frozenset({1, 2})) == 4
+        assert len(pool) == 2
+        assert pool.oldest().id == 0
+        pool.remove(0)
+        assert pool.oldest().id == 3
+
     def test_oldest_of_empty_pool_raises(self):
         pool = self.pool_of(2)
         pool.remove(0)
@@ -190,6 +216,37 @@ class TestFairness:
                 assert sim.time - enqueue_time <= bound + 1
                 return
         pytest.fail("starved message was never delivered")
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_flood_cannot_starve_correct_channels(self, n):
+        """Byzantine volume cannot hold a correct-to-correct message.
+
+        The ranking delivers every message to or from a poisoner first,
+        newest first, which without the correct-channel cursor keeps
+        correct messages waiting for thousands of deliveries. Overdue
+        correct messages leave one per delivery, oldest first, so one sent
+        in a burst may wait for the rest of the burst past the bound.
+        """
+        cfg = dataclasses.replace(matrix_scenario(n, "READY_POISON"),
+                                  scheduler="ADVERSARIAL_REORDER")
+        sim = Simulation(cfg)
+        byz = sim.byzantine
+
+        def is_correct(msg):
+            return msg.sender not in byz and msg.receiver not in byz
+
+        sim.strategy.delivery_rank = lambda m: (is_correct(m), -m.id)
+        choose, waits = sim._choose, []
+
+        def timed_choose():
+            msg = choose()
+            if is_correct(msg):
+                waits.append(sim.time - msg.enqueue_time)
+            return msg
+
+        sim._choose = timed_choose
+        assert sim.run().outcome == "SETTLED"
+        assert max(waits) <= 2 * cfg.fairness_bound
 
 
 class TestAdversarySendCap:
@@ -298,3 +355,81 @@ class TestFinalRecords:
             assert [e["node"] for e in finals] == correct
             assert all(e["sender"] is None and e["receiver"] is None
                        for e in finals)
+
+
+POISON_SEEDS = range(10)
+# the prototype of the correct-channel cursor finished every correct op
+# within ~4.5k deliveries at n=13 and n=16
+POISON_OP_DEADLINE = 6000
+
+
+@pytest.fixture(scope="module")
+def poison_runs():
+    """READY_POISON floods, supercritical from n=13, run to the end."""
+    return [Simulation(matrix_scenario(n, "READY_POISON", seed)).run()
+            for n in (13, 16) for seed in POISON_SEEDS]
+
+
+def last_entry_done(trace):
+    """seq of the last OP_END; matrix Byzantine entries all fire at time 0."""
+    return max(e["seq"] for e in trace.events if e["kind"] == "OP_END")
+
+
+class TestSettle:
+    def test_poison_floods_settle_and_pass(self, poison_runs):
+        for trace in poison_runs:
+            assert trace.outcome == "SETTLED", (trace.n, trace.seed)
+            assert trace.diagnostics[0].endswith(
+                "messages to Byzantine processes set aside")
+            report = run_all_checks(trace)
+            assert report.ok(), (trace.n, trace.seed, report.failures())
+            statuses = {v.prop: v.status for v in report.verdicts}
+            assert statuses["termination"] == "PASS"
+            assert statuses["rb-termination"] == "PASS"
+
+    def test_poison_is_never_delivered(self, poison_runs):
+        for trace in poison_runs:
+            poison = ReadyPoison.poison_value
+            assert not any(e["kind"] == "RDELIVER"
+                           and e["payload"]["value"] == poison
+                           for e in trace.events), (trace.n, trace.seed)
+
+    def test_correct_ops_end_despite_the_flood(self, poison_runs):
+        for trace in poison_runs:
+            ends = [e["time"] for e in trace.events if e["kind"] == "OP_END"]
+            starts = [e for e in trace.events if e["kind"] == "OP_START"]
+            assert len(ends) == len(starts) == 7
+            assert max(ends) <= POISON_OP_DEADLINE, (trace.n, trace.seed)
+
+    def test_every_send_to_a_correct_process_is_delivered(self, poison_runs):
+        for trace in poison_runs:
+            byz = set(trace.byzantine)
+            sent = collections.Counter()
+            delivered = collections.Counter()
+            pairs = collections.Counter()
+            for e in trace.events:
+                key = (e["sender"], e["receiver"], json.dumps(e["payload"]))
+                if e["kind"] == "SEND":
+                    sent[key] += 1
+                    if not byz & {e["sender"], e["receiver"]}:
+                        pairs[e["sender"], e["receiver"]] += 1
+                elif e["kind"] == "DELIVER":
+                    delivered[key] += 1
+                    if not byz & {e["sender"], e["receiver"]}:
+                        pairs[e["sender"], e["receiver"]] -= 1
+            assert set(pairs.values()) == {0}, (trace.n, trace.seed)
+            assert not delivered - sent
+            undelivered = sent - delivered
+            assert undelivered
+            assert all(receiver in byz for _, receiver, _ in undelivered)
+
+    def test_byzantine_nodes_get_nothing_after_the_last_entry(self,
+                                                              poison_runs):
+        for trace in poison_runs:
+            byz = set(trace.byzantine)
+            done = last_entry_done(trace)
+            late = [e for e in trace.events[done:]
+                    if e["kind"] == "DELIVER" and e["receiver"] in byz]
+            assert late == [], (trace.n, trace.seed)
+            assert any(e["kind"] == "DELIVER" and e["receiver"] in byz
+                       for e in trace.events[:done])

@@ -36,7 +36,8 @@ class ReferenceSimulation(Simulation):
                     continue
                 fired = True
                 if entry.process in self.byzantine:
-                    self._op_state[entry.id] = "done"
+                    # also counts the entry done for the settle trigger
+                    self._mark_done(entry)
                     if self.strategy is not None:
                         self._byz_sends(entry.process,
                                         self.strategy.on_workload(
