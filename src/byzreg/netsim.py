@@ -95,9 +95,8 @@ class _InFlightPool:
         self._pos: dict[int, int] = {}
         self._low = 0  # no id below this is still in flight
         # no id below this is a message between correct processes still in
-        # flight, and no id at or above _top was ever added
+        # flight
         self._low_correct = 0
-        self._top = 0
 
     def __len__(self):
         return len(self._by_id)
@@ -106,7 +105,6 @@ class _InFlightPool:
         self._by_id[msg.id] = msg
         self._pos[msg.id] = len(self._order)
         self._order.append(msg.id)
-        self._top = msg.id + 1
 
     def remove(self, mid: int) -> PendingMessage:
         msg = self._by_id.pop(mid)
@@ -127,9 +125,12 @@ class _InFlightPool:
         self._low = low
         return by_id[low]
 
-    def oldest_correct(self) -> PendingMessage | None:
-        """The oldest message between correct processes, or None."""
-        by_id, low, top = self._by_id, self._low_correct, self._top
+    def oldest_correct(self, top: int) -> PendingMessage | None:
+        """The oldest message between correct processes, or None.
+
+        No id at or above top was ever added.
+        """
+        by_id, low = self._by_id, self._low_correct
         while low < top:
             msg = by_id.get(low)
             if msg is not None and msg.correct:
@@ -280,12 +281,14 @@ class Simulation:
         self._next_mid += 1
         self._record("SEND", sender, sender, receiver, payload.to_wire())
         byzantine = self.byzantine
-        if receiver in byzantine and self._aside is not None:
-            self._aside += 1
-            return mid
-        msg = PendingMessage(mid, sender, receiver, payload, self.time,
-                             sender not in byzantine
-                             and receiver not in byzantine)
+        if byzantine and (sender in byzantine or receiver in byzantine):
+            if receiver in byzantine and self._aside is not None:
+                self._aside += 1
+                return mid
+            msg = PendingMessage(mid, sender, receiver, payload, self.time,
+                                 correct=False)
+        else:
+            msg = PendingMessage(mid, sender, receiver, payload, self.time)
         self.pool.add(msg)
         if self._reorder:
             rank = self.strategy.delivery_rank
@@ -294,14 +297,13 @@ class Simulation:
         return mid
 
     def _choose(self) -> PendingMessage:
-        bound = self.scenario.fairness_bound
         oldest = self.pool.oldest()
-        if self.time - oldest.enqueue_time >= bound:
+        if self.time - oldest.enqueue_time >= self.scenario.fairness_bound:
             if not oldest.correct:
                 # an overdue message between correct processes goes first
-                first = self.pool.oldest_correct()
+                first = self.pool.oldest_correct(self._next_mid)
                 if first is not None and (self.time - first.enqueue_time
-                                          >= bound):
+                                          >= self.scenario.fairness_bound):
                     return first
             return oldest
         if self.scenario.scheduler == "FIFO":

@@ -168,13 +168,13 @@ class TestInFlightPool:
             pool.add(PendingMessage(mid, 0, 1, WriteDone(mid), mid,
                                     correct=mid % 2 == 1))
         assert pool.oldest().id == 0
-        assert pool.oldest_correct().id == 1
+        assert pool.oldest_correct(5).id == 1
         pool.remove(1)
-        assert pool.oldest_correct().id == 3
+        assert pool.oldest_correct(5).id == 3
         pool.remove(3)
-        assert pool.oldest_correct() is None
+        assert pool.oldest_correct(5) is None
         pool.add(PendingMessage(5, 0, 1, WriteDone(5), 5))
-        assert pool.oldest_correct().id == 5
+        assert pool.oldest_correct(6).id == 5
 
     def test_drop_to_removes_only_messages_to_the_receivers(self):
         pool = _InFlightPool()
