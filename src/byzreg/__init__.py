@@ -15,7 +15,7 @@ from .checker import (CheckReport, Verdict, check_rb, check_safety,
                       derive_histories, min_quorum_intersection,
                       quorum_intersection_holds, run_all_checks)
 from .errors import ProtocolMisuseError, ScenarioError, SimulationClosedError
-from .netsim import Simulation, Trace, run_scenario_once
+from .netsim import Simulation, Trace
 from .rbcast import ReliableBroadcast
 from .register import RegisterNode
 from .scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
@@ -28,5 +28,4 @@ __all__ = [
     "build_linearization", "check_rb", "check_safety", "check_termination",
     "count_messages", "derive_histories", "matrix_scenario", "max_tolerated",
     "min_quorum_intersection", "quorum_intersection_holds", "run_all_checks",
-    "run_scenario_once",
 ]

@@ -11,12 +11,15 @@ never alter them. A strategy cannot forge another process's sender
 identity; the simulator stamps senders itself.
 
 Every strategy is a deterministic function of (scenario seed, inputs), so
-runs containing Byzantine nodes replay byte-identically.
+runs containing Byzantine nodes replay byte-identically. Each declares the
+params it reads in ``PARAMS``; ``check_params`` rejects any other key and
+any value of the wrong kind before a run starts.
 """
 from __future__ import annotations
 
 import random
 
+from .errors import ScenarioError
 from .messages import (App, CatchUp, CatchUpDone, Echo, Message, ReadReq,
                        Ready, StateReply, WriteDone)
 from .register import RegisterNode
@@ -24,10 +27,15 @@ from .rbcast import Send
 from .scenario import AdversarySpec, WorkloadOp
 
 
+PROCESS = "process"  # a param naming a process: an integer in [0, n)
+
+
 class AdversaryStrategy:
     """Base: a silent node that never sends and ignores everything."""
 
     name = "CRASH_SILENT"
+    # param name -> bool, int, PROCESS or a tuple of the allowed values
+    PARAMS: dict[str, object] = {}
 
     def __init__(self, nodes: tuple[int, ...], n: int, t: int, seed: int,
                  params: dict):
@@ -64,12 +72,13 @@ class EquivocateWrite(AdversaryStrategy):
     """
 
     name = "EQUIVOCATE_WRITE"
+    PARAMS = {"selective": bool, "victim": PROCESS}
 
     def __init__(self, nodes, n, t, seed, params):
         super().__init__(nodes, n, t, seed, params)
         self.sn = {pid: 0 for pid in nodes}
-        self.selective = bool(params.get("selective", False))
-        self.victim = int(params.get("victim", 0))
+        self.selective = params.get("selective", False)
+        self.victim = params.get("victim", 0)
 
     def on_workload(self, pid, entry):
         if entry.op != "write":
@@ -129,13 +138,14 @@ class StaleState(AdversaryStrategy):
     """
 
     name = "STALE_STATE"
+    PARAMS = {"report": int, "mode": ("deflate",)}
 
     def __init__(self, nodes, n, t, seed, params):
         super().__init__(nodes, n, t, seed, params)
         if params.get("mode") == "deflate":
             self.report = 0
         else:
-            self.report = int(params.get("report", 10 ** 6))
+            self.report = params.get("report", 10 ** 6)
 
     def on_deliver(self, pid, sender, payload):
         if isinstance(payload, ReadReq):
@@ -173,14 +183,17 @@ class ReadyPoison(AdversaryStrategy):
     instance; the suite asserts the poison value is never delivered.
 
     params: {"origin": pid} selects whose register is framed (default 0).
+    Any integer is allowed: votes for an origin outside [0, n) frame no
+    register, and correct processes must drop them.
     """
 
     name = "READY_POISON"
+    PARAMS = {"origin": int}
     poison_value = "POISON"
 
     def __init__(self, nodes, n, t, seed, params):
         super().__init__(nodes, n, t, seed, params)
-        self.origin = int(params.get("origin", 0))
+        self.origin = params.get("origin", 0)
         self.counter = 0
         # votes cycle through sn 1..4; poison[i] carries sn i+1
         self.poison = [Ready(self.origin, self.poison_value, sn)
@@ -209,10 +222,11 @@ class ColludeDelay(AdversaryStrategy):
     """
 
     name = "COLLUDE_DELAY"
+    PARAMS = {"favored": PROCESS, "victim": PROCESS}
 
     def __init__(self, nodes, n, t, seed, params):
         super().__init__(nodes, n, t, seed, params)
-        self.favored = int(params.get("favored", 0))
+        self.favored = params.get("favored", 0)
         self.victim = params.get("victim")
         self.inner = {pid: RegisterNode(pid, n, t) for pid in nodes}
 
@@ -247,6 +261,29 @@ STRATEGIES: dict[str, type[AdversaryStrategy]] = {
     for cls in (CrashSilent, EquivocateWrite, SeqSkip, StaleState, AckForge,
                 ReadyPoison, ColludeDelay)
 }
+
+
+def check_params(spec: AdversarySpec, n: int) -> None:
+    """Raise ScenarioError unless spec's params fit its strategy's PARAMS."""
+    expected = STRATEGIES[spec.name].PARAMS
+    for key, value in spec.params.items():
+        kind = expected.get(key)
+        if kind is None:
+            raise ScenarioError(
+                f"adversary {spec.name} has no param {key!r} "
+                f"(params: {sorted(expected) or 'none'})")
+        integer = isinstance(value, int) and not isinstance(value, bool)
+        if kind is bool:
+            ok, want = isinstance(value, bool), "a JSON boolean"
+        elif kind is int:
+            ok, want = integer, "an integer"
+        elif kind == PROCESS:
+            ok, want = integer and 0 <= value < n, f"a process in [0, {n})"
+        else:
+            ok, want = value in kind, f"one of {list(kind)}"
+        if not ok:
+            raise ScenarioError(f"adversary {spec.name} param {key!r} must "
+                                f"be {want}, got {value!r}")
 
 
 def build_strategy(spec: AdversarySpec, n: int, t: int,

@@ -15,7 +15,8 @@ and then decides:
   correct processes: a read never returns a value at or past a write that
   started strictly after it finished, never returns a value older than a
   write that finished before it started, and a later read never returns an
-  older value than an earlier one;
+  older value than an earlier one. Each is one sweep over a register's
+  reads with a bisect per read, so O(ops log ops) (see ``check_safety``);
 * the broadcast-layer properties (validity, integrity, uniformity,
   termination) over the recorded deliveries; termination and the
   all-or-none part of uniformity on quiescent runs only;
@@ -35,6 +36,7 @@ the violation, so it can be replayed against the stored trace.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -72,10 +74,14 @@ class OperationRecord:
     # 1-based count of the invoker's operations of this kind on target, so
     # a write's sn or a read's rsn
     number: int = 0
-    sends: dict[str, int] = field(default_factory=dict)  # charged, by tag
+    counts: dict[str, int] = field(default_factory=dict)  # sends, by tag
 
     def completed(self) -> bool:
         return self.end_seq is not None
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
 
 @dataclass
@@ -168,7 +174,7 @@ def derive_histories(trace: Trace) -> History:
             if op is None:
                 unattributed += 1  # e.g. replies to a Byzantine requester
             else:
-                op.sends[tag] = op.sends.get(tag, 0) + 1
+                op.counts[tag] = op.counts.get(tag, 0) + 1
         elif kind == "RDELIVER":
             if event["node"] in correct:
                 deliveries.append((event["node"], p["origin"], p["value"],
@@ -234,23 +240,17 @@ def derive_histories(trace: Trace) -> History:
     if agreement_ok:
         verdicts.append(Verdict("per-writer-agreement", PASS))
 
-    resolution_failures = []
     for op in ops.values():
-        if op.kind == "WRITE" or not op.completed():
-            continue
+        if op.kind == "WRITE" or not op.completed() or not op.index:
+            continue  # index 0 is the initial value
         hist = values.get(op.target, [])
-        x = op.index or 0
-        if x == 0:
-            continue  # initial value
-        if x > len(hist) or hist[x - 1] != op.value:
-            resolution_failures.append(op)
-    if resolution_failures:
-        bad = resolution_failures[0]
-        verdicts.append(Verdict(
-            "read-resolution", FAIL,
-            f"read {bad.op_id} returned ({bad.value!r}, {bad.index}) which is "
-            f"not an entry of reg[{bad.target}]'s history",
-            (bad.start_seq, bad.end_seq)))
+        if op.index > len(hist) or hist[op.index - 1] != op.value:
+            verdicts.append(Verdict(
+                "read-resolution", FAIL,
+                f"read {op.op_id} returned ({op.value!r}, {op.index}) which "
+                f"is not an entry of reg[{op.target}]'s history",
+                (op.start_seq, op.end_seq)))
+            break
     else:
         verdicts.append(Verdict("read-resolution", PASS))
 
@@ -265,13 +265,20 @@ def derive_histories(trace: Trace) -> History:
 # ---------------------------------------------------------------------------
 
 def check_safety(history: History, trace: Trace) -> list[Verdict]:
-    """The three ordered-pair properties over correct processes' operations."""
-    byz = set(trace.byzantine)
-    verdicts = []
-    verdicts.append(_check_read_then_write(history, byz))
-    verdicts.append(_check_write_then_read(history))
-    verdicts.append(_check_no_read_inversion(history))
-    return verdicts
+    """The three ordered-pair properties over correct processes' operations.
+
+    Each is one sweep over a register's completed reads, which come in
+    start order, with a bisect per read. A write's start ascends with its
+    index (for a faulty writer too: position x+1 is first applied after
+    x), and a sequential writer's completed writes end in index order. So
+    the writes that start after a read ends, those that end before it
+    starts, and the reads that start after it ends are each a suffix or a
+    prefix, found in O(log ops), and the first violating pair is the one a
+    scan of every pair in order would find.
+    """
+    return [_check_read_then_write(history, set(trace.byzantine)),
+            _check_write_then_read(history),
+            _check_no_read_inversion(history)]
 
 
 def _write_starts(history: History, target: int,
@@ -285,26 +292,25 @@ def _write_starts(history: History, target: int,
     if target not in byz:
         return [(op.index, op.start_seq, op.end_seq)
                 for op in history.writes_of(target) if op.index is not None]
-    out = []
-    for x in range(1, len(history.values.get(target, [])) + 1):
-        out.append((x, history.first_apply_seq[(target, x)], None))
-    return out
+    return [(x, history.first_apply_seq[(target, x)], None)
+            for x in range(1, len(history.values.get(target, [])) + 1)]
 
 
 def _check_read_then_write(history: History, byz: set[int]) -> Verdict:
     checked = 0
     for target in sorted(set(history.values) | {op.target for op in history.ops}):
         writes = _write_starts(history, target, byz)
+        starts = [start for _, start, _ in writes]
         for read in history.reads_of(target):
-            for (y, w_start, _w_end) in writes:
-                if read.end_seq < w_start:
-                    checked += 1
-                    if not read.index < y:
-                        return Verdict(
-                            "read-followed-by-write", FAIL,
-                            f"read {read.op_id} of reg[{target}] returned index "
-                            f"{read.index} but finished before write {y} started",
-                            (read.start_seq, read.end_seq, w_start))
+            later = bisect.bisect_right(starts, read.end_seq)
+            checked += len(writes) - later
+            if later < len(writes) and writes[later][0] <= read.index:
+                y, w_start, _ = writes[later]
+                return Verdict(
+                    "read-followed-by-write", FAIL,
+                    f"read {read.op_id} of reg[{target}] returned index "
+                    f"{read.index} but finished before write {y} started",
+                    (read.start_seq, read.end_seq, w_start))
     if checked == 0:
         return Verdict("read-followed-by-write", VACUOUS,
                        "no read strictly precedes a write")
@@ -314,20 +320,21 @@ def _check_read_then_write(history: History, byz: set[int]) -> Verdict:
 def _check_write_then_read(history: History) -> Verdict:
     checked = 0
     for target in sorted(history.values):
-        writes = [op for op in history.writes_of(target)
-                  if op.completed() and op.index is not None]
+        writes = [op for op in history.writes_of(target) if op.completed()]
+        ends = [w.end_seq for w in writes]
+        indices = [w.index for w in writes]
         for read in history.reads_of(target):
-            for w in writes:
-                if w.end_seq < read.start_seq:
-                    checked += 1
-                    if not w.index <= read.index:
-                        return Verdict(
-                            "write-followed-by-read", FAIL,
-                            f"write {w.op_id} (index {w.index}) finished before "
-                            f"read {read.op_id} started, which returned index "
-                            f"{read.index}",
-                            (w.start_seq, w.end_seq,
-                             read.start_seq, read.end_seq))
+            before = bisect.bisect_left(ends, read.start_seq)
+            checked += before
+            newer = bisect.bisect_right(indices, read.index, 0, before)
+            if newer < before:
+                w = writes[newer]
+                return Verdict(
+                    "write-followed-by-read", FAIL,
+                    f"write {w.op_id} (index {w.index}) finished before "
+                    f"read {read.op_id} started, which returned index "
+                    f"{read.index}",
+                    (w.start_seq, w.end_seq, read.start_seq, read.end_seq))
     if checked == 0:
         return Verdict("write-followed-by-read", VACUOUS,
                        "no completed write strictly precedes a read")
@@ -339,17 +346,21 @@ def _check_no_read_inversion(history: History) -> Verdict:
     targets = {op.target for op in history.ops if op.kind == "READ"}
     for target in sorted(targets):
         reads = history.reads_of(target)
-        for r1, r2 in itertools.permutations(reads, 2):
-            if r1.end_seq < r2.start_seq:
-                checked += 1
-                if not r1.index <= r2.index:
-                    return Verdict(
-                        "no-read-inversion", FAIL,
-                        f"read {r1.op_id} returned index {r1.index}, then read "
-                        f"{r2.op_id} (started after {r1.op_id} ended) returned "
-                        f"older index {r2.index}",
-                        (r1.start_seq, r1.end_seq,
-                         r2.start_seq, r2.end_seq))
+        starts = [r.start_seq for r in reads]
+        # least[i]: the least index among reads[i:]
+        least = list(itertools.accumulate(
+            (r.index for r in reversed(reads)), min))[::-1]
+        for r1 in reads:
+            later = bisect.bisect_right(starts, r1.end_seq)
+            checked += len(reads) - later
+            if later < len(reads) and least[later] < r1.index:
+                r2 = next(r for r in reads[later:] if r.index < r1.index)
+                return Verdict(
+                    "no-read-inversion", FAIL,
+                    f"read {r1.op_id} returned index {r1.index}, then read "
+                    f"{r2.op_id} (started after {r1.op_id} ended) returned "
+                    f"older index {r2.index}",
+                    (r1.start_seq, r1.end_seq, r2.start_seq, r2.end_seq))
     if checked == 0:
         return Verdict("no-read-inversion", VACUOUS,
                        "no two reads of one register are strictly ordered")
@@ -363,12 +374,16 @@ def _check_no_read_inversion(history: History) -> Verdict:
 def check_rb(history: History, trace: Trace) -> list[Verdict]:
     correct = set(trace.correct_nodes())
     deliveries = history.deliveries
+    # (origin, sn) -> node -> (value, seq) of its delivery
+    per_instance: dict[tuple[int, int], dict[int, tuple[Value, int]]] = {}
+    for node, origin, value, sn, seq in deliveries:
+        per_instance.setdefault((origin, sn), {})[node] = (value, seq)
     return [
         _rb_validity(deliveries, history.broadcasts, correct),
         _rb_integrity(deliveries),
-        _rb_uniformity(deliveries, correct, trace.quiescent()),
-        _rb_termination(deliveries, history.broadcasts, history.first_app_seq,
-                        correct, trace.quiescent()),
+        _rb_uniformity(per_instance, correct, trace.quiescent()),
+        _rb_termination(per_instance, history.broadcasts,
+                        history.first_app_seq, correct, trace.quiescent()),
     ]
 
 
@@ -403,12 +418,9 @@ def _rb_integrity(deliveries) -> Verdict:
     return Verdict("rb-integrity", PASS, f"{len(deliveries)} deliveries")
 
 
-def _rb_uniformity(deliveries, correct, quiescent) -> Verdict:
-    if not deliveries:
+def _rb_uniformity(per_instance, correct, quiescent) -> Verdict:
+    if not per_instance:
         return Verdict("rb-uniformity", VACUOUS, "no deliveries")
-    per_instance: dict[tuple[int, int], dict[int, tuple[Value, int]]] = {}
-    for node, origin, value, sn, seq in deliveries:
-        per_instance.setdefault((origin, sn), {})[node] = (value, seq)
     for (origin, sn), per_node in sorted(per_instance.items()):
         entries = sorted(per_node.items())
         (n0, (v0, s0)) = entries[0]
@@ -430,18 +442,15 @@ def _rb_uniformity(deliveries, correct, quiescent) -> Verdict:
     return Verdict("rb-uniformity", PASS, note)
 
 
-def _rb_termination(deliveries, broadcast_values, first_app_seq, correct,
+def _rb_termination(per_instance, broadcast_values, first_app_seq, correct,
                     quiescent) -> Verdict:
     """broadcast_values holds only correct origins' broadcasts."""
     if not quiescent:
         return Verdict("rb-termination", VACUOUS, "run not quiescent")
     if not broadcast_values:
         return Verdict("rb-termination", VACUOUS, "no broadcasts by correct origins")
-    delivered_by: dict[tuple[int, int], set[int]] = {}
-    for node, origin, _value, sn, _seq in deliveries:
-        delivered_by.setdefault((origin, sn), set()).add(node)
     for key in sorted(broadcast_values):
-        nodes = delivered_by.get(key, set())
+        nodes = set(per_instance.get(key, ()))
         if nodes != correct:
             missing = sorted(correct - nodes)
             return Verdict(
@@ -581,20 +590,8 @@ def brute_force_linearizable(items: list[LinItem]) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class OpCost:
-    op_id: str
-    kind: str
-    invoker: int
-    counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass
 class CostReport:
-    per_op: dict[str, OpCost]
+    per_op: dict[str, OperationRecord]
     unattributed: int
     verdict: Verdict
 
@@ -610,18 +607,15 @@ def count_messages(history: History, trace: Trace) -> CostReport:
     derive_histories charges every send by a correct process to the
     operation it serves; this reports those counts per operation.
     """
-    per_op = {op.op_id: OpCost(op.op_id, op.kind, op.invoker, op.sends)
-              for op in history.ops}
     bounds = cost_bounds(trace.n)
     completed = [op for op in history.ops if op.completed()]
     verdict = Verdict("message-cost", VACUOUS, "no completed operations")
     for op in completed:
-        total = per_op[op.op_id].total
         bound = bounds[op.kind]
-        if total > bound:
+        if op.total > bound:
             verdict = Verdict(
                 "message-cost", FAIL,
-                f"{op.kind.lower()} {op.op_id} cost {total} sends among "
+                f"{op.kind.lower()} {op.op_id} cost {op.total} sends among "
                 f"correct processes, bound {bound}",
                 (op.start_seq, op.end_seq))
             break
@@ -629,7 +623,8 @@ def count_messages(history: History, trace: Trace) -> CostReport:
         if completed:
             verdict = Verdict("message-cost", PASS,
                               f"{len(completed)} operations within bounds")
-    return CostReport(per_op=per_op, unattributed=history.unattributed,
+    return CostReport(per_op={op.op_id: op for op in history.ops},
+                      unattributed=history.unattributed,
                       verdict=verdict)
 
 
@@ -691,8 +686,7 @@ class CheckReport:
 def run_all_checks(trace: Trace) -> CheckReport:
     history = derive_histories(trace)
     verdicts = list(history.derivation_verdicts)
-    safety = check_safety(history, trace)
-    verdicts.extend(safety)
+    verdicts.extend(check_safety(history, trace))
     verdicts.extend(check_rb(history, trace))
     verdicts.append(check_termination(history, trace))
     cost = count_messages(history, trace)

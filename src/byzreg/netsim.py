@@ -493,10 +493,3 @@ class Simulation:
         if len(self.pool):
             notes.append(f"{len(self.pool)} messages still in flight")
         return notes
-
-
-def run_scenario_once(scenario: ScenarioConfig, seed: int | None = None) -> Trace:
-    """Convenience wrapper: run one seed of a scenario to completion."""
-    if seed is not None:
-        scenario = scenario.with_seed(seed)
-    return Simulation(scenario).run()

@@ -75,9 +75,10 @@ class ReliableBroadcast:
     an equivocating origin splits its own votes. An instance's entries are
     retired as soon as it delivers.
 
-    APP messages arriving ahead of the head are buffered; at most
-    PENDING_CAP instances are held per origin besides the head, oldest
-    dropped first, so a flooding origin cannot exhaust memory.
+    Votes naming an origin outside [0, n) are dropped. APP messages
+    arriving ahead of the head are buffered; at most PENDING_CAP instances
+    are held per origin besides the head, oldest dropped first, so a
+    flooding origin cannot exhaust memory.
     """
 
     def __init__(self, node_id: int, n: int, t: int, *,
@@ -128,7 +129,7 @@ class ReliableBroadcast:
 
     def on_echo(self, origin: int, value: Value, sn: int,
                 sender: int) -> list[Send | RDeliver]:
-        if sn < self.next_sn[origin]:
+        if not 0 <= origin < self.n or sn < self.next_sn[origin]:
             return []
         senders = self.echo_senders.setdefault((origin, sn), {}).setdefault(
             value, set())
@@ -139,7 +140,7 @@ class ReliableBroadcast:
 
     def on_ready(self, origin: int, value: Value, sn: int,
                  sender: int) -> list[Send | RDeliver]:
-        if sn < self.next_sn[origin]:
+        if not 0 <= origin < self.n or sn < self.next_sn[origin]:
             return []
         senders = self.ready_senders.setdefault((origin, sn), {}).setdefault(
             value, set())

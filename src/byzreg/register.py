@@ -81,7 +81,8 @@ class RegisterNode:
     (sends, deliveries, operation completions) in the order things
     happened; each delivery is applied to the local copy as it happens.
     Processes are sequential, so at most one operation may be in flight at
-    a time; violating that raises.
+    a time; violating that raises. Network input never raises: a message
+    naming a register outside [0, n) is dropped.
     """
 
     def __init__(self, node_id: int, n: int, t: int, *,
@@ -139,6 +140,8 @@ class RegisterNode:
         if isinstance(msg, WriteDone):
             return self._on_write_done(sender, msg)
         if isinstance(msg, ReadReq):
+            if not 0 <= msg.target < self.n:
+                return []
             return [Send(sender, StateReply(msg.target, msg.rsn,
                                             self.registers[msg.target].sn))]
         if isinstance(msg, StateReply):
@@ -217,6 +220,8 @@ class RegisterNode:
         return to_all(self.n, CatchUp(pr.target, local.sn))
 
     def _on_catch_up(self, sender: int, msg: CatchUp) -> list[Effect]:
+        if not 0 <= msg.target < self.n:
+            return []
         if self.registers[msg.target].sn >= msg.sn:
             return [Send(sender, CatchUpDone(msg.target, msg.sn))]
         self.catchup_waiting.append((msg.target, msg.sn, sender))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,11 +88,13 @@ class ScenarioConfig:
                                 f"expected names from {ALL_MUTATIONS}")
         byz = self.byzantine_nodes()
         if self.adversary is not None:
-            from .adversary import STRATEGIES  # late import to avoid a cycle
+            # late import to avoid a cycle
+            from .adversary import STRATEGIES, check_params
             if self.adversary.name not in STRATEGIES:
                 raise ScenarioError(
                     f"unknown adversary {self.adversary.name!r}; "
                     f"expected one of {sorted(STRATEGIES)}")
+            check_params(self.adversary, self.n)
             if not byz:
                 raise ScenarioError("adversary requires a non-empty node list")
             if any(p < 0 or p >= self.n for p in byz):
@@ -245,7 +248,12 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path: str | Path, validate: bool = True) -> "ScenarioConfig":
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ScenarioError(f"{path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at "
+                                f"byte {exc.start})") from exc
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, "
                                 f"column {exc.colno}: {exc.msg}") from exc
@@ -274,6 +282,10 @@ def _scalar(value, what: str):
     if value is not None and not isinstance(value, (str, int, float)):
         raise ScenarioError(f"{what} must be a JSON string, number, boolean "
                             f"or null, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        # NaN never equals itself: processes that all applied it would
+        # seem to disagree
+        raise ScenarioError(f"{what} must be a finite number, got {value!r}")
     return value
 
 

@@ -90,6 +90,19 @@ class TestReadyPoison:
             assert report.ok(), (seed, report.failures())
 
 
+    @pytest.mark.parametrize("origin", [-1, 4, 9])
+    def test_votes_for_unknown_origins_are_dropped(self, origin):
+        cfg = ScenarioConfig(
+            name="poison-unknown-origin", n=4, t=1, seed=0,
+            adversary=AdversarySpec("READY_POISON", (3,), {"origin": origin}),
+            workload=[WorkloadOp("w1", 0, "write", value="x", at=0)])
+        cfg.validate()
+        for seed in SEEDS:
+            trace, report = run_checked(cfg, seed)
+            assert trace.quiescent(), (trace.outcome, trace.diagnostics)
+            assert report.ok(), report.failures()
+
+
 class TestSeqSkip:
     def test_skipped_writes_never_apply(self):
         cfg = matrix_scenario(4, "SEQ_SKIP")

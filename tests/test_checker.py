@@ -7,9 +7,11 @@ import collections
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from byzreg.checker import (FAIL, PASS, VACUOUS, History, LinItem,
-                            OperationRecord, brute_force_linearizable,
+                            OperationRecord, Verdict, _write_starts,
+                            brute_force_linearizable,
                             build_linearization, check_rb, check_safety,
                             check_termination, count_messages,
                             derive_histories, min_quorum_intersection,
@@ -19,6 +21,7 @@ from byzreg.checker import (FAIL, PASS, VACUOUS, History, LinItem,
 from byzreg.cli import resolve_scenario
 from byzreg.netsim import Simulation, Trace
 from byzreg.scenario import ScenarioConfig, WorkloadOp, matrix_scenario
+from test_golden_traces import cases as golden_cases
 
 
 def make_trace(events, n=4, t=1, byz=(), outcome="QUIESCENT"):
@@ -180,6 +183,196 @@ class TestCheckSafety:
         hist, trace = self._history(events, byz=(3,))
         verdicts = {v.prop: v for v in check_safety(hist, trace)}
         assert verdicts["read-followed-by-write"].status == FAIL
+
+
+# ---------------------------------------------------------------------------
+# the sorted sweep against a scan of every ordered pair
+# ---------------------------------------------------------------------------
+
+def pairwise_safety(history, trace):
+    """check_safety by a scan of every ordered pair, kept as a reference."""
+    byz = set(trace.byzantine)
+    return [_pairwise_read_then_write(history, byz),
+            _pairwise_write_then_read(history),
+            _pairwise_no_read_inversion(history)]
+
+
+def _pairwise_read_then_write(history, byz):
+    checked = 0
+    for target in sorted(set(history.values)
+                         | {op.target for op in history.ops}):
+        writes = _write_starts(history, target, byz)
+        for read in history.reads_of(target):
+            for (y, w_start, _w_end) in writes:
+                if read.end_seq < w_start:
+                    checked += 1
+                    if not read.index < y:
+                        return Verdict(
+                            "read-followed-by-write", FAIL,
+                            f"read {read.op_id} of reg[{target}] returned "
+                            f"index {read.index} but finished before write "
+                            f"{y} started",
+                            (read.start_seq, read.end_seq, w_start))
+    if checked == 0:
+        return Verdict("read-followed-by-write", VACUOUS,
+                       "no read strictly precedes a write")
+    return Verdict("read-followed-by-write", PASS, f"{checked} pairs")
+
+
+def _pairwise_write_then_read(history):
+    checked = 0
+    for target in sorted(history.values):
+        writes = [op for op in history.writes_of(target) if op.completed()]
+        for read in history.reads_of(target):
+            for w in writes:
+                if w.end_seq < read.start_seq:
+                    checked += 1
+                    if not w.index <= read.index:
+                        return Verdict(
+                            "write-followed-by-read", FAIL,
+                            f"write {w.op_id} (index {w.index}) finished "
+                            f"before read {read.op_id} started, which "
+                            f"returned index {read.index}",
+                            (w.start_seq, w.end_seq,
+                             read.start_seq, read.end_seq))
+    if checked == 0:
+        return Verdict("write-followed-by-read", VACUOUS,
+                       "no completed write strictly precedes a read")
+    return Verdict("write-followed-by-read", PASS, f"{checked} pairs")
+
+
+def _pairwise_no_read_inversion(history):
+    checked = 0
+    for target in sorted({op.target for op in history.ops
+                          if op.kind == "READ"}):
+        reads = history.reads_of(target)
+        for r1, r2 in itertools.permutations(reads, 2):
+            if r1.end_seq < r2.start_seq:
+                checked += 1
+                if not r1.index <= r2.index:
+                    return Verdict(
+                        "no-read-inversion", FAIL,
+                        f"read {r1.op_id} returned index {r1.index}, then "
+                        f"read {r2.op_id} (started after {r1.op_id} ended) "
+                        f"returned older index {r2.index}",
+                        (r1.start_seq, r1.end_seq,
+                         r2.start_seq, r2.end_seq))
+    if checked == 0:
+        return Verdict("no-read-inversion", VACUOUS,
+                       "no two reads of one register are strictly ordered")
+    return Verdict("no-read-inversion", PASS, f"{checked} pairs")
+
+
+@st.composite
+def register_traces(draw):
+    """One sequential writer of a register and sequential readers of it.
+
+    The writer is correct p0, or Byzantine p3, whose writes show only as
+    applies at the correct processes, each in sn order. Every step of
+    every process is interleaved at random, each read returns a random
+    index, and the trace may stop early, leaving operations open.
+    """
+    byzantine = draw(st.booleans())
+    writer = 3 if byzantine else 0
+    others = [p for p in range(4) if p != writer]
+    writes = draw(st.integers(0, 4))
+    # each process's steps in program order: ("apply", node, x) or
+    # ("start"/"end", process, kind, op_id)
+    if byzantine:
+        queues = [[("apply", node, x) for x in range(1, writes + 1)]
+                  for node in others]
+    else:
+        queues = [[step for x in range(1, writes + 1)
+                   for step in (("start", 0, "WRITE", f"w{x}"), ("apply", 0, x),
+                                ("end", 0, "WRITE", f"w{x}"))]]
+    for reader in others:
+        ids = [f"r{reader}.{k}" for k in range(draw(st.integers(0, 4)))]
+        queues.append([step for op_id in ids
+                       for step in (("start", reader, "READ", op_id),
+                                    ("end", reader, "READ", op_id))])
+    events = []
+    written = 0
+    while any(queues):
+        queue = draw(st.sampled_from([q for q in queues if q]))
+        step, seq = queue.pop(0), len(events)
+        if step[0] == "apply":
+            _, node, x = step
+            events.append(rdeliver(node, writer, f"v{x}", x, seq=seq))
+        elif step[0] == "start":
+            _, p, kind, op_id = step
+            value = f"v{written + 1}" if kind == "WRITE" else None
+            events.append(op_start(p, kind, op_id, writer, seq=seq,
+                                   value=value))
+        else:
+            _, p, kind, op_id = step
+            if kind == "WRITE":
+                written += 1
+                x = written
+            else:
+                x = draw(st.integers(0, writes))
+            events.append(op_end(p, kind, op_id, writer,
+                                 f"v{x}" if x else None, x, seq=seq))
+    cut = len(events)
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, cut))
+    return make_trace(events[:cut], byz=(3,) if byzantine else (),
+                      outcome="QUIESCENT" if cut == len(events) else "STUCK")
+
+
+class TestSweepMatchesPairwiseScan:
+    def test_every_golden_case(self):
+        failures = 0
+        for key, cfg in golden_cases().items():
+            trace = Simulation(cfg).run()
+            history = derive_histories(trace)
+            sweep = check_safety(history, trace)
+            assert sweep == pairwise_safety(history, trace), key
+            failures += sum(v.status == FAIL for v in sweep)
+        assert failures  # the mutation cases give counterexamples to compare
+
+    @settings(max_examples=300, deadline=None)
+    @given(register_traces())
+    def test_synthetic_histories(self, trace):
+        history = derive_histories(trace)
+        assert check_safety(history, trace) == pairwise_safety(history, trace)
+
+    @staticmethod
+    def chained(ops):
+        """Back-to-back operations on register 0: (kind, op_id, index)."""
+        events = []
+        for kind, op_id, index in ops:
+            node = 0 if kind == "WRITE" else 1
+            events.append(op_start(node, kind, op_id, 0, seq=len(events)))
+            if kind == "WRITE":
+                events.append(rdeliver(0, 0, f"v{index}", index,
+                                       seq=len(events)))
+            events.append(op_end(node, kind, op_id, 0, f"v{index}", index,
+                                 seq=len(events)))
+        trace = make_trace(events)
+        return {v.prop: v.detail
+                for v in check_safety(derive_histories(trace), trace)}
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 40])
+    def test_sequential_reads_give_m_choose_2_inversion_pairs(self, m):
+        details = self.chained([("READ", f"r{k}", 0) for k in range(m)])
+        assert details["no-read-inversion"] == f"{m * (m - 1) // 2} pairs"
+
+    @pytest.mark.parametrize("w,m", [(1, 2), (3, 4), (7, 2)])
+    def test_writes_then_reads_pair_every_write_with_every_read(self, w, m):
+        ops = [("WRITE", f"w{x}", x) for x in range(1, w + 1)]
+        ops += [("READ", f"r{k}", w) for k in range(m)]
+        details = self.chained(ops)
+        assert details["write-followed-by-read"] == f"{w * m} pairs"
+        assert (details["read-followed-by-write"]
+                == "no read strictly precedes a write")
+        assert details["no-read-inversion"] == f"{m * (m - 1) // 2} pairs"
+
+    @pytest.mark.parametrize("m,w", [(1, 1), (4, 3), (2, 7)])
+    def test_reads_then_writes_pair_every_read_with_every_write(self, m, w):
+        ops = [("READ", f"r{k}", 0) for k in range(m)]
+        ops += [("WRITE", f"w{x}", x) for x in range(1, w + 1)]
+        details = self.chained(ops)
+        assert details["read-followed-by-write"] == f"{m * w} pairs"
 
 
 class TestCheckRb:

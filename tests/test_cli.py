@@ -153,6 +153,11 @@ def small_doc(**fields):
     return doc
 
 
+def with_params(strategy, **params):
+    return small_doc(adversary={"name": strategy, "nodes": [3],
+                                "params": params})
+
+
 def run_doc(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -175,6 +180,21 @@ def test_scenario_mutations_must_be_known_names(tmp_path, capsys, mutations,
                                                 message):
     assert run_doc(tmp_path, small_doc(mutations=mutations)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b'{"name": "\xff"}'),
+     "not UTF-8 text (invalid start byte at byte 10)"),
+], ids=["directory", "not-utf8"])
+def test_unreadable_scenario_paths_are_scenario_errors(tmp_path, capsys, make,
+                                                       message):
+    path = tmp_path / "scenario.json"
+    make(path)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        ScenarioConfig.load(path)
+    assert main(["run", str(path)]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
 
 
 def test_known_mutation_in_scenario_is_accepted(tmp_path):
@@ -211,8 +231,32 @@ def with_entry_field(i, field, value):
      "workload entry #0 id must be a JSON string, got 1"),
     (with_entry_field(1, "after", 1),
      "workload entry #1 after must be a JSON string, got 1"),
+    (with_entry_field(0, "value", float("nan")),
+     "workload entry #0 value must be a finite number, got nan"),
+    (small_doc(init_values=["a", float("inf"), "c", "d"]),
+     "init_values entry must be a finite number, got inf"),
+    (with_params("STALE_STATE", report="abc"),
+     "adversary STALE_STATE param 'report' must be an integer, got 'abc'"),
+    (with_params("COLLUDE_DELAY", favored="zz"),
+     "adversary COLLUDE_DELAY param 'favored' must be a process in [0, 4), "
+     "got 'zz'"),
+    (with_params("EQUIVOCATE_WRITE", victim=7),
+     "adversary EQUIVOCATE_WRITE param 'victim' must be a process in "
+     "[0, 4), got 7"),
+    (with_params("EQUIVOCATE_WRITE", selective="yes"),
+     "adversary EQUIVOCATE_WRITE param 'selective' must be a JSON boolean, "
+     "got 'yes'"),
+    (with_params("READY_POISON", orign=1),
+     "adversary READY_POISON has no param 'orign' (params: ['origin'])"),
+    (with_params("CRASH_SILENT", victim=1),
+     "adversary CRASH_SILENT has no param 'victim' (params: none)"),
+    (with_params("STALE_STATE", mode="inflate"),
+     "adversary STALE_STATE param 'mode' must be one of ['deflate'], "
+     "got 'inflate'"),
 ], ids=["n", "target", "at", "entry", "nodes", "flag", "value", "init-value",
-        "id", "after"])
+        "id", "after", "nan-value", "infinite-init-value", "param-type",
+        "param-process-type", "param-process-range", "param-flag",
+        "param-key", "param-none-expected", "param-mode"])
 def test_malformed_field_types_are_scenario_errors(tmp_path, capsys, doc,
                                                    message):
     with pytest.raises(ScenarioError, match=re.escape(message)):

@@ -5,21 +5,27 @@ single node and check the structural invariants that the proofs lean on.
 """
 from hypothesis import given, settings, strategies as st
 
-from byzreg.messages import Ready
+from byzreg.messages import (CatchUp, CatchUpDone, Echo, ReadReq, Ready,
+                             StateReply)
 from byzreg.rbcast import RDeliver, ReliableBroadcast
 from byzreg.register import RegisterNode
 
 N, T = 4, 1
 
 values = st.sampled_from(["a", "b", "c"])
-origins = st.integers(min_value=0, max_value=N - 1)
+# a Byzantine message may name any process or register, even one that
+# does not exist
+outside = st.sampled_from([-1, N, N + 3])
+origins = st.one_of(st.integers(min_value=0, max_value=N - 1), outside)
+targets = st.one_of(st.integers(min_value=0, max_value=N - 1), outside)
 senders = st.integers(min_value=0, max_value=N - 1)
 sns = st.integers(min_value=1, max_value=4)
 
 
 rb_events = st.lists(
     st.one_of(
-        st.tuples(st.just("app"), origins, values, sns),
+        # an APP's origin is its sender, which the network authenticates
+        st.tuples(st.just("app"), senders, values, sns),
         st.tuples(st.just("echo"), origins, values, sns, senders),
         st.tuples(st.just("ready"), origins, values, sns, senders),
     ),
@@ -88,3 +94,30 @@ def test_register_sn_is_monotone_and_contiguous(events):
     for j in range(N):
         # each sn applied once, in order, with no holes
         assert applied[j] == list(range(1, node.registers[j].sn + 1))
+
+
+requests = st.lists(
+    st.tuples(senders, st.one_of(
+        st.builds(ReadReq, targets, sns),
+        st.builds(StateReply, targets, sns, sns),
+        st.builds(CatchUp, targets, sns),
+        st.builds(CatchUpDone, targets, sns),
+        st.builds(Echo, origins, values, sns),
+        st.builds(Ready, origins, values, sns),
+    )),
+    max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets, requests)
+def test_messages_naming_unknown_registers_are_dropped(read_target, events):
+    node = RegisterNode(0, N, T)
+    out = node.begin_read(read_target) if 0 <= read_target < N else []
+    for sender, msg in events:
+        out += node.handle(sender, msg)
+    for eff in out:
+        msg = getattr(eff, "payload", eff)  # a Send's message, or eff itself
+        named = getattr(msg, "target", getattr(msg, "origin", 0))
+        assert 0 <= named < N, eff
+    assert len(node.registers) == N
+    assert all(0 <= target < N for target, _, _ in node.catchup_waiting)
