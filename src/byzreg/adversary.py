@@ -23,7 +23,7 @@ from .errors import ScenarioError
 from .messages import (App, CatchUp, CatchUpDone, Echo, Message, ReadReq,
                        Ready, StateReply, WriteDone)
 from .register import RegisterNode
-from .rbcast import Send
+from .rbcast import Broadcast, Send
 from .scenario import AdversarySpec, WorkloadOp
 
 
@@ -231,7 +231,14 @@ class ColludeDelay(AdversaryStrategy):
         self.inner = {pid: RegisterNode(pid, n, t) for pid in nodes}
 
     def _sends_only(self, effects) -> list[Send]:
-        return [e for e in effects if isinstance(e, Send)]
+        """The node's sends, a Broadcast expanded to one Send per process."""
+        sends = []
+        for eff in effects:
+            if type(eff) is Broadcast:
+                sends.extend(Send(dest, eff.payload) for dest in range(self.n))
+            elif type(eff) is Send:
+                sends.append(eff)
+        return sends
 
     def on_workload(self, pid, entry):
         node = self.inner[pid]

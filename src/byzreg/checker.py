@@ -147,6 +147,8 @@ def derive_histories(trace: Trace) -> History:
     unattributed = 0
     for event in trace.events:
         kind = event["kind"]
+        if kind == "DELIVER":  # about half the records; none is needed
+            continue
         p = event["payload"]
         if kind == "SEND":
             sender = event["sender"]
@@ -235,8 +237,10 @@ def derive_histories(trace: Trace) -> History:
                             (seen_seq, seq)))
                 first_seq[(writer, sn)] = min(
                     first_seq.get((writer, sn), seq), seq)
-        values[writer] = [by_pos[x][0] for x in range(1, len(by_pos) + 1)
-                          if x in by_pos]
+        # the history ends at the first position no correct node applied
+        hist = values[writer] = []
+        while len(hist) + 1 in by_pos:
+            hist.append(by_pos[len(hist) + 1][0])
     if agreement_ok:
         verdicts.append(Verdict("per-writer-agreement", PASS))
 

@@ -45,6 +45,15 @@ trace is the only input the checker ever looks at.
 A record's "payload" dict is shared: a message's SEND and DELIVER records,
 and the SENDs of one message object to many receivers, all hold the same
 dict. Treat payloads as read-only.
+
+Sends are batched: a node's ``Broadcast`` effect becomes one call that
+puts the message in flight to processes 0..n-1 in pid order, encoding the
+payload once and appending one SEND record per receiver. The in-flight
+pool is two lists: one indexed by message id (None once a message is
+delivered or set aside), which the oldest-message cursors walk, and one of
+the in-flight messages in any order, each holding its own index, for the
+uniform draw and swap-removal. A delivery costs no dict operation on
+either, and ``step`` skips the workload triggers unless one is due.
 """
 from __future__ import annotations
 
@@ -57,7 +66,7 @@ from dataclasses import dataclass, field
 from .adversary import AdversaryStrategy, build_strategy
 from .errors import SimulationClosedError
 from .messages import Message
-from .rbcast import RDeliver, Send
+from .rbcast import Broadcast, RDeliver, Send
 from .register import Complete, RegisterNode
 from .scenario import ScenarioConfig, WorkloadOp
 
@@ -66,10 +75,20 @@ OUTCOME_SETTLED = "SETTLED"
 OUTCOME_BUDGET = "BUDGET_EXCEEDED"
 OUTCOME_STUCK = "STUCK"
 
+# The fields of an event record, in order. _record builds every record
+# except SENDs, which _send builds inline, one per message; Trace.jsonl
+# formats records through _RECORD, which writes exactly these fields in
+# this order. A field changes here and in all three places at once.
+EVENT_FIELDS = ("seq", "time", "kind", "node", "sender", "receiver",
+                "payload")
+# one event record as a compact JSON line; see Trace.jsonl
+_RECORD = ('{"seq":%d,"time":%d,"kind":"%s","node":%s,"sender":%s,'
+           '"receiver":%s,"payload":%s}')
+
 
 class PendingMessage:
     __slots__ = ("id", "sender", "receiver", "payload", "enqueue_time",
-                 "correct")
+                 "correct", "pos")
 
     def __init__(self, mid: int, sender: int, receiver: int,
                  payload: Message, enqueue_time: int, correct: bool = True):
@@ -79,80 +98,7 @@ class PendingMessage:
         self.payload = payload
         self.enqueue_time = enqueue_time
         self.correct = correct  # sender and receiver are both correct
-
-
-class _InFlightPool:
-    """In-flight message multiset with amortized O(1) oldest, O(1) random.
-
-    A second cursor finds the oldest message between correct processes,
-    also in amortized O(1). Message ids must be added in increasing order,
-    as the simulator issues them.
-    """
-
-    def __init__(self):
-        self._by_id: dict[int, PendingMessage] = {}
-        self._order: list[int] = []
-        self._pos: dict[int, int] = {}
-        self._low = 0  # no id below this is still in flight
-        # no id below this is a message between correct processes still in
-        # flight
-        self._low_correct = 0
-
-    def __len__(self):
-        return len(self._by_id)
-
-    def add(self, msg: PendingMessage) -> None:
-        self._by_id[msg.id] = msg
-        self._pos[msg.id] = len(self._order)
-        self._order.append(msg.id)
-
-    def remove(self, mid: int) -> PendingMessage:
-        msg = self._by_id.pop(mid)
-        idx = self._pos.pop(mid)
-        last = self._order.pop()
-        if last != mid:
-            self._order[idx] = last
-            self._pos[last] = idx
-        return msg
-
-    def oldest(self) -> PendingMessage:
-        by_id = self._by_id
-        if not by_id:
-            raise IndexError("oldest() on an empty pool")
-        low = self._low
-        while low not in by_id:
-            low += 1
-        self._low = low
-        return by_id[low]
-
-    def oldest_correct(self, top: int) -> PendingMessage | None:
-        """The oldest message between correct processes, or None.
-
-        No id at or above top was ever added.
-        """
-        by_id, low = self._by_id, self._low_correct
-        while low < top:
-            msg = by_id.get(low)
-            if msg is not None and msg.correct:
-                self._low_correct = low
-                return msg
-            low += 1
-        self._low_correct = low
-        return None
-
-    def drop_to(self, receivers: frozenset[int]) -> int:
-        """Remove every message addressed to receivers; return how many."""
-        doomed = [mid for mid, msg in self._by_id.items()
-                  if msg.receiver in receivers]
-        for mid in doomed:
-            self.remove(mid)
-        return len(doomed)
-
-    def pick_random(self, rng: random.Random) -> PendingMessage:
-        return self._by_id[self._order[rng.randrange(len(self._order))]]
-
-    def get(self, mid: int) -> PendingMessage | None:
-        return self._by_id.get(mid)
+        self.pos = -1  # index in Simulation.pool while in flight
 
 
 @dataclass
@@ -198,8 +144,27 @@ class Trace:
         }
 
     def jsonl(self) -> str:
-        lines = [json.dumps(self.meta_record(), separators=(",", ":"))]
-        lines.extend(json.dumps(e, separators=(",", ":")) for e in self.events)
+        """META, then one compact JSON line per event record.
+
+        Each line is what json.dumps with separators (",", ":") gives for
+        the record, built from the fixed field layout: seq, time, kind,
+        then node, sender and receiver (an int or null), then the payload.
+        A shared payload dict is encoded once.
+        """
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        lines = [encode(self.meta_record())]
+        encoded: dict[int, str] = {}  # id(payload) -> JSON
+        for e in self.events:
+            p = e["payload"]
+            text = encoded.get(id(p))
+            if text is None:
+                text = encoded[id(p)] = encode(p)
+            node, sender, receiver = e["node"], e["sender"], e["receiver"]
+            lines.append(_RECORD % (
+                e["seq"], e["time"], e["kind"],
+                "null" if node is None else node,
+                "null" if sender is None else sender,
+                "null" if receiver is None else receiver, text))
         return "\n".join(lines) + "\n"
 
     def trace_hash(self) -> str:
@@ -226,11 +191,22 @@ class Simulation:
                               mutations=scenario.mutations)
             for pid in range(self.n) if pid not in self.byzantine
         }
-        self.pool = _InFlightPool()
+        # in flight: self.pool holds the messages in no particular order,
+        # each knowing its own index (pos), so a uniform draw is one index
+        # and _take swaps the last entry into the hole; _by_id[mid] is
+        # message mid while it is in flight and None once it is delivered
+        # or set aside, and two forward cursors over it find the oldest
+        # message and the oldest message between correct processes
+        self.pool: list[PendingMessage] = []
+        self._by_id: list[PendingMessage | None] = []
+        self._low = 0  # no id below this is still in flight
+        self._low_correct = 0  # likewise, between correct processes
         # ADVERSARIAL_REORDER: heap of (strategy rank, id), ranked at send
         self._ranked: list[tuple] = []
         self._reorder = (scenario.scheduler == "ADVERSARIAL_REORDER"
                          and self.strategy is not None)
+        self._fairness = scenario.fairness_bound
+        self._fifo = scenario.scheduler == "FIFO"
         self.time = 0
         self._seq = 0
         self._next_mid = 0
@@ -256,6 +232,7 @@ class Simulation:
 
     def _record(self, kind: str, node: int, sender, receiver,
                 payload: dict) -> dict:
+        # fields in EVENT_FIELDS order; _send builds SENDs the same way
         event = {
             "seq": self._seq,
             "time": self.time,
@@ -273,61 +250,125 @@ class Simulation:
 
     def enqueue(self, sender: int, receiver: int, payload: Message) -> int:
         """Put a message in flight; returns its unique event id."""
-        if self.halted:
-            raise SimulationClosedError("cannot enqueue after the run halted")
-        if not (0 <= sender < self.n and 0 <= receiver < self.n):
-            raise ValueError("sender/receiver out of range")
         mid = self._next_mid
-        self._next_mid += 1
-        self._record("SEND", sender, sender, receiver, payload.to_wire())
-        byzantine = self.byzantine
-        if byzantine and (sender in byzantine or receiver in byzantine):
-            if receiver in byzantine and self._aside is not None:
-                self._aside += 1
-                return mid
-            msg = PendingMessage(mid, sender, receiver, payload, self.time,
-                                 correct=False)
-        else:
-            msg = PendingMessage(mid, sender, receiver, payload, self.time)
-        self.pool.add(msg)
-        if self._reorder:
-            rank = self.strategy.delivery_rank
-            if rank is not None:
-                heapq.heappush(self._ranked, (rank(msg), mid))
+        self._send(sender, (receiver,), payload)
         return mid
 
+    def _send(self, sender: int, receivers, payload: Message) -> None:
+        """Put payload in flight from sender to each receiver, in order.
+
+        One SEND record per receiver, all sharing one payload dict, and
+        one message id each, issued in order.
+        """
+        if self.halted:
+            raise SimulationClosedError("cannot enqueue after the run halted")
+        n = self.n
+        if not 0 <= sender < n:
+            raise ValueError("sender/receiver out of range")
+        wire = payload.to_wire()
+        events, time = self.events, self.time
+        pool, by_id = self.pool, self._by_id
+        byzantine = self.byzantine
+        sender_byz = sender in byzantine
+        rank = self.strategy.delivery_rank if self._reorder else None
+        seq, mid = self._seq, self._next_mid
+        for receiver in receivers:
+            if not 0 <= receiver < n:
+                self._seq, self._next_mid = seq, mid
+                raise ValueError("sender/receiver out of range")
+            # fields in EVENT_FIELDS order, as in _record
+            events.append({"seq": seq, "time": time, "kind": "SEND",
+                           "node": sender, "sender": sender,
+                           "receiver": receiver, "payload": wire})
+            seq += 1
+            if sender_byz or receiver in byzantine:
+                if receiver in byzantine and self._aside is not None:
+                    self._aside += 1
+                    by_id.append(None)
+                    mid += 1
+                    continue
+                msg = PendingMessage(mid, sender, receiver, payload, time,
+                                     False)
+            else:
+                msg = PendingMessage(mid, sender, receiver, payload, time)
+            msg.pos = len(pool)
+            pool.append(msg)
+            by_id.append(msg)
+            if rank is not None:
+                heapq.heappush(self._ranked, (rank(msg), mid))
+            mid += 1
+        self._seq, self._next_mid = seq, mid
+
+    def _take(self, msg: PendingMessage) -> None:
+        """Take an in-flight message out of flight."""
+        self._by_id[msg.id] = None
+        pool = self.pool
+        last = pool.pop()
+        if last is not msg:
+            pool[msg.pos] = last
+            last.pos = msg.pos
+
+    def _oldest_correct(self) -> PendingMessage | None:
+        """The oldest in-flight message between correct processes, or None."""
+        by_id, low = self._by_id, self._low_correct
+        top = len(by_id)
+        while low < top:
+            msg = by_id[low]
+            if msg is not None and msg.correct:
+                self._low_correct = low
+                return msg
+            low += 1
+        self._low_correct = low
+        return None
+
+    def _drop_to(self, receivers: frozenset[int]) -> int:
+        """Take every message to receivers out of flight, in id order."""
+        doomed = [msg for msg in self._by_id[self._low:]
+                  if msg is not None and msg.receiver in receivers]
+        for msg in doomed:
+            self._take(msg)
+        return len(doomed)
+
     def _choose(self) -> PendingMessage:
-        oldest = self.pool.oldest()
-        if self.time - oldest.enqueue_time >= self.scenario.fairness_bound:
+        by_id, low = self._by_id, self._low
+        while by_id[low] is None:
+            low += 1
+        self._low = low
+        oldest = by_id[low]
+        if self.time - oldest.enqueue_time >= self._fairness:
             if not oldest.correct:
                 # an overdue message between correct processes goes first
-                first = self.pool.oldest_correct(self._next_mid)
+                first = self._oldest_correct()
                 if first is not None and (self.time - first.enqueue_time
-                                          >= self.scenario.fairness_bound):
+                                          >= self._fairness):
                     return first
             return oldest
-        if self.scenario.scheduler == "FIFO":
+        if self._fifo:
             return oldest
         # only ADVERSARIAL_REORDER with a ranking strategy fills the heap:
         # lowest rank first, skipping ids the fairness rule already delivered
         ranked = self._ranked
         while ranked:
-            msg = self.pool.get(heapq.heappop(ranked)[1])
+            msg = by_id[heapq.heappop(ranked)[1]]
             if msg is not None:
                 return msg
-        return self.pool.pick_random(self.rng)
+        pool = self.pool
+        return pool[self.rng.randrange(len(pool))]
 
     # -- node effects -----------------------------------------------------------
 
     def _process_effects(self, pid: int, effects) -> None:
         for eff in effects:
-            if isinstance(eff, Send):
-                self.enqueue(pid, eff.dest, eff.payload)
-            elif isinstance(eff, RDeliver):
+            kind = type(eff)
+            if kind is Broadcast:
+                self._send(pid, range(self.n), eff.payload)
+            elif kind is Send:
+                self._send(pid, (eff.dest,), eff.payload)
+            elif kind is RDeliver:
                 self._record("RDELIVER", pid, eff.origin, pid,
                              {"origin": eff.origin, "value": eff.value,
                               "sn": eff.sn})
-            elif isinstance(eff, Complete):
+            elif kind is Complete:
                 self._complete_op(pid, eff)
             else:
                 raise TypeError(f"unknown effect {eff!r}")
@@ -345,7 +386,7 @@ class Simulation:
 
     def _byz_sends(self, pid: int, sends: list[Send]) -> None:
         for send in sends[:self.scenario.send_cap()]:
-            self.enqueue(pid, send.dest, send.payload)
+            self._send(pid, (send.dest,), send.payload)
 
     # -- workload -----------------------------------------------------------------
 
@@ -361,7 +402,7 @@ class Simulation:
         self._op_state[entry.id] = "done"
         self._open -= 1
         if self._open == 0:  # the last entry: settle
-            self._aside = self.pool.drop_to(self.byzantine)
+            self._aside = self._drop_to(self.byzantine)
         for index in self._dependents.pop(entry.id, ()):
             self._arm(index)
 
@@ -420,24 +461,25 @@ class Simulation:
 
     def step(self) -> dict | None:
         """Deliver one message; returns its DELIVER event, or None at rest."""
-        self._fire_workload()
-        if len(self.pool) == 0:
+        timed = self._timed
+        if self._ready or (timed and timed[0][0] <= self.time):
+            self._fire_workload()
+        if not self.pool:
             return None
         msg = self._choose()
-        self.pool.remove(msg.id)
+        self._take(msg)
         self.time += 1
-        event = self._record("DELIVER", msg.receiver, msg.sender, msg.receiver,
-                             msg.payload.to_wire())
-        if msg.receiver in self.byzantine:
-            if self.strategy is not None:
-                self._byz_sends(msg.receiver,
-                                self.strategy.on_deliver(msg.receiver,
-                                                         msg.sender,
-                                                         msg.payload))
-        else:
-            node = self.nodes[msg.receiver]
-            self._process_effects(msg.receiver,
-                                  node.handle(msg.sender, msg.payload))
+        sender, receiver, payload = msg.sender, msg.receiver, msg.payload
+        event = self._record("DELIVER", receiver, sender, receiver,
+                             payload.to_wire())
+        node = self.nodes.get(receiver)
+        if node is not None:
+            effects = node.handle(sender, payload)
+            if effects:  # most deliveries change nothing visible
+                self._process_effects(receiver, effects)
+        elif self.strategy is not None:  # a Byzantine receiver
+            self._byz_sends(receiver,
+                            self.strategy.on_deliver(receiver, sender, payload))
         return event
 
     def run(self) -> Trace:

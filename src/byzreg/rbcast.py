@@ -4,7 +4,9 @@ One instance runs inside every process. Each handler consumes a single
 network event and returns, in order, the messages to send and any
 deliveries that became possible. Nothing blocks: the figure-style
 "wait until" conditions are kept as guards that are re-evaluated whenever
-the state they watch changes.
+the state they watch changes. A send to everyone is one ``Broadcast``
+effect, which the simulator expands to receivers 0..n-1 in pid order; a
+reply to one process is a ``Send``.
 
 Per broadcast instance (origin, sn) the machine goes through three rounds:
 
@@ -47,9 +49,11 @@ class Send:
     payload: Message
 
 
-def to_all(n: int, payload: Message) -> list[Send]:
-    """One Send of payload to each of the n processes, self included."""
-    return [Send(dest, payload) for dest in range(n)]
+@dataclass(frozen=True)
+class Broadcast:
+    """Instruction to transmit payload to every process, self included."""
+
+    payload: Message
 
 
 @dataclass(frozen=True)
@@ -102,18 +106,19 @@ class ReliableBroadcast:
 
     # -- client side ------------------------------------------------------
 
-    def broadcast(self, value: Value, sn: int) -> list[Send]:
+    def broadcast(self, value: Value, sn: int) -> list[Broadcast]:
         """Start broadcast number sn; sn must be the previous one plus 1."""
         if sn != self.last_broadcast_sn + 1:
             raise ProtocolMisuseError(
                 f"broadcast sn {sn} is not consecutive "
                 f"(last used {self.last_broadcast_sn})")
         self.last_broadcast_sn = sn
-        return to_all(self.n, App(value, sn))
+        return [Broadcast(App(value, sn))]
 
     # -- server side ------------------------------------------------------
 
-    def on_app(self, origin: int, value: Value, sn: int) -> list[Send | RDeliver]:
+    def on_app(self, origin: int, value: Value,
+               sn: int) -> list[Broadcast | RDeliver]:
         """First APP for (origin, sn) is recorded; duplicates are dropped."""
         apps = self.first_app[origin]
         head = self.next_sn[origin]
@@ -121,31 +126,41 @@ class ReliableBroadcast:
             return []
         apps[sn] = value
         if sn == head:
-            return to_all(self.n, Echo(origin, value, sn))
+            return [Broadcast(Echo(origin, value, sn))]
         if len(apps) - (head in apps) > PENDING_CAP:
             # arrival order == dict insertion order; drop the oldest waiter
             del apps[next(s for s in apps if s != head)]
         return []
 
     def on_echo(self, origin: int, value: Value, sn: int,
-                sender: int) -> list[Send | RDeliver]:
+                sender: int) -> list[Broadcast | RDeliver]:
         if not 0 <= origin < self.n or sn < self.next_sn[origin]:
             return []
-        senders = self.echo_senders.setdefault((origin, sn), {}).setdefault(
-            value, set())
+        key = (origin, sn)
+        votes = self.echo_senders.get(key)
+        if votes is None:  # no throwaway dict and set per vote
+            votes = self.echo_senders[key] = {}
+        senders = votes.get(value)
+        if senders is None:
+            senders = votes[value] = set()
         senders.add(sender)
         if len(senders) >= self.echo_quorum:
             return self._emit_ready(origin, value, sn)
         return []
 
     def on_ready(self, origin: int, value: Value, sn: int,
-                 sender: int) -> list[Send | RDeliver]:
+                 sender: int) -> list[Broadcast | RDeliver]:
         if not 0 <= origin < self.n or sn < self.next_sn[origin]:
             return []
-        senders = self.ready_senders.setdefault((origin, sn), {}).setdefault(
-            value, set())
+        key = (origin, sn)
+        votes = self.ready_senders.get(key)
+        if votes is None:  # no throwaway dict and set per vote
+            votes = self.ready_senders[key] = {}
+        senders = votes.get(value)
+        if senders is None:
+            senders = votes[value] = set()
         senders.add(sender)
-        out: list[Send | RDeliver] = []
+        out: list[Broadcast | RDeliver] = []
         if len(senders) >= self.t + 1:
             out.extend(self._emit_ready(origin, value, sn))
         out.extend(self._deliver_ready_instances(origin))
@@ -153,17 +168,18 @@ class ReliableBroadcast:
 
     # -- internals --------------------------------------------------------
 
-    def _emit_ready(self, origin: int, value: Value, sn: int) -> list[Send]:
+    def _emit_ready(self, origin: int, value: Value,
+                    sn: int) -> list[Broadcast]:
         """READY for (origin, value, sn), unless this node already sent it."""
         sent = self.readied.setdefault((origin, sn), set())
         if value in sent:
             return []
         sent.add(value)
-        return to_all(self.n, Ready(origin, value, sn))
+        return [Broadcast(Ready(origin, value, sn))]
 
-    def _deliver_ready_instances(self, origin: int) -> list[Send | RDeliver]:
+    def _deliver_ready_instances(self, origin: int) -> list[Broadcast | RDeliver]:
         """Deliver everything at the head of origin's sequence, in order."""
-        out: list[Send | RDeliver] = []
+        out: list[Broadcast | RDeliver] = []
         apps = self.first_app[origin]
         while True:
             sn = self.next_sn[origin]
@@ -178,7 +194,7 @@ class ReliableBroadcast:
             self.readied.pop(key, None)
             out.append(RDeliver(origin, value, sn))
             if sn + 1 in apps:  # the new head's APP arrived early: echo it now
-                out.extend(to_all(self.n, Echo(origin, apps[sn + 1], sn + 1)))
+                out.append(Broadcast(Echo(origin, apps[sn + 1], sn + 1)))
         return out
 
     def _ready_complete_value(self, origin: int, sn: int):

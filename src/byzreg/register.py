@@ -35,7 +35,7 @@ from .errors import ProtocolMisuseError
 from .messages import (App, CatchUp, CatchUpDone, Echo, Message, ReadReq,
                        Ready, StateReply, Value, WriteDone)
 from .mutations import NO_CATCH_UP, NO_FRESHNESS, READ_QUORUM_MINUS_ONE
-from .rbcast import RDeliver, ReliableBroadcast, Send, to_all
+from .rbcast import Broadcast, RDeliver, ReliableBroadcast, Send
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class Complete:
     sn: int
 
 
-Effect = Send | RDeliver | Complete
+Effect = Send | Broadcast | RDeliver | Complete
 
 
 @dataclass
@@ -113,13 +113,13 @@ class RegisterNode:
         self._require_idle("write")
         self.write_sn += 1
         self.pending_write = PendingWrite(self.write_sn, value)
-        return list(self.rb.broadcast(value, self.write_sn))
+        return self.rb.broadcast(value, self.write_sn)
 
     def begin_read(self, target: int) -> list[Effect]:
         self._require_idle("read")
         self.read_sn[target] += 1
         self.pending_read = PendingRead(target, self.read_sn[target])
-        return to_all(self.n, ReadReq(target, self.read_sn[target]))
+        return [Broadcast(ReadReq(target, self.read_sn[target]))]
 
     def _require_idle(self, kind: str) -> None:
         if self.pending_write is not None or self.pending_read is not None:
@@ -131,33 +131,30 @@ class RegisterNode:
     # -- message dispatch ----------------------------------------------------
 
     def handle(self, sender: int, msg: Message) -> list[Effect]:
-        if isinstance(msg, App):
-            return self._lift(self.rb.on_app(sender, msg.value, msg.sn))
-        if isinstance(msg, Echo):
-            return self._lift(self.rb.on_echo(msg.origin, msg.value, msg.sn, sender))
-        if isinstance(msg, Ready):
-            return self._lift(self.rb.on_ready(msg.origin, msg.value, msg.sn, sender))
-        if isinstance(msg, WriteDone):
-            return self._on_write_done(sender, msg)
-        if isinstance(msg, ReadReq):
-            if not 0 <= msg.target < self.n:
-                return []
-            return [Send(sender, StateReply(msg.target, msg.rsn,
-                                            self.registers[msg.target].sn))]
-        if isinstance(msg, StateReply):
-            return self._on_state(sender, msg)
-        if isinstance(msg, CatchUp):
-            return self._on_catch_up(sender, msg)
-        if isinstance(msg, CatchUpDone):
-            return self._on_catch_up_done(sender, msg)
-        raise TypeError(f"unknown message type {type(msg).__name__}")
+        handler = _HANDLERS.get(type(msg))
+        if handler is None:
+            raise TypeError(f"unknown message type {type(msg).__name__}")
+        return handler(self, sender, msg)
+
+    def _on_app(self, sender: int, msg: App) -> list[Effect]:
+        return self._lift(self.rb.on_app(sender, msg.value, msg.sn))
+
+    def _on_echo(self, sender: int, msg: Echo) -> list[Effect]:
+        return self._lift(self.rb.on_echo(msg.origin, msg.value, msg.sn,
+                                          sender))
+
+    def _on_ready(self, sender: int, msg: Ready) -> list[Effect]:
+        return self._lift(self.rb.on_ready(msg.origin, msg.value, msg.sn,
+                                           sender))
 
     def _lift(self, rb_effects) -> list[Effect]:
         """Forward broadcast-layer output, applying each delivery after it."""
+        if not rb_effects:
+            return rb_effects
         out: list[Effect] = []
         for eff in rb_effects:
             out.append(eff)
-            if isinstance(eff, RDeliver):
+            if type(eff) is RDeliver:
                 out.extend(self._apply(eff.origin, eff.value, eff.sn))
         return out
 
@@ -186,6 +183,12 @@ class RegisterNode:
         return []
 
     # -- read path -----------------------------------------------------------
+
+    def _on_read_req(self, sender: int, msg: ReadReq) -> list[Effect]:
+        if not 0 <= msg.target < self.n:
+            return []
+        return [Send(sender, StateReply(msg.target, msg.rsn,
+                                        self.registers[msg.target].sn))]
 
     def _on_state(self, sender: int, msg: StateReply) -> list[Effect]:
         pr = self.pending_read
@@ -217,7 +220,7 @@ class RegisterNode:
         pr.chosen = local
         if NO_CATCH_UP in self.mutations:
             return self._finish_read()
-        return to_all(self.n, CatchUp(pr.target, local.sn))
+        return [Broadcast(CatchUp(pr.target, local.sn))]
 
     def _on_catch_up(self, sender: int, msg: CatchUp) -> list[Effect]:
         if not 0 <= msg.target < self.n:
@@ -282,3 +285,16 @@ class RegisterNode:
                          f"for p{requester} waiting "
                          f"(local sn {self.registers[target].sn})")
         return notes
+
+
+# handle() dispatch: message class -> handler
+_HANDLERS = {
+    App: RegisterNode._on_app,
+    Echo: RegisterNode._on_echo,
+    Ready: RegisterNode._on_ready,
+    WriteDone: RegisterNode._on_write_done,
+    ReadReq: RegisterNode._on_read_req,
+    StateReply: RegisterNode._on_state,
+    CatchUp: RegisterNode._on_catch_up,
+    CatchUpDone: RegisterNode._on_catch_up_done,
+}

@@ -106,6 +106,18 @@ class TestDeriveHistories:
         fails = [v for v in hist.derivation_verdicts if v.status == FAIL]
         assert fails and fails[0].prop == "read-resolution"
 
+    def test_gap_in_applies_ends_the_history(self):
+        # a stored trace may skip a position the simulator never would
+        events = [rdeliver(0, 3, "v2", 2), rdeliver(0, 3, "v3", 3),
+                  op_start(1, "READ", "r1", 3),
+                  op_end(1, "READ", "r1", 3, "v2", 2)]
+        trace = make_trace(events, byz=(3,))
+        assert derive_histories(trace).values[3] == []
+        report = run_all_checks(trace)  # no KeyError from the missing sn 1
+        fails = {v.prop: v for v in report.verdicts if v.status == FAIL}
+        assert "out of order" in fails["per-writer-agreement"].detail
+        assert "read-resolution" in fails
+
 
 class TestCheckSafety:
     def _history(self, events, byz=()):

@@ -126,14 +126,23 @@ def report_hash(report: CheckReport) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def compute() -> tuple[dict[str, str], dict[str, str]]:
-    """Trace hashes and report hashes per case, one simulation each."""
-    traces, reports = {}, {}
+def reference_jsonl(trace) -> str:
+    """The trace encoded one json.dumps per record, as Trace.jsonl must."""
+    return "".join(json.dumps(record, separators=(",", ":")) + "\n"
+                   for record in (trace.meta_record(), *trace.events))
+
+
+def compute() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+    """Trace hashes, report hashes and reference-encoded trace hashes per
+    case, one simulation each."""
+    traces, reports, references = {}, {}, {}
     for key, cfg in cases().items():
         trace = Simulation(cfg).run()
         traces[key] = trace.trace_hash()
         reports[key] = report_hash(run_all_checks(trace))
-    return traces, reports
+        references[key] = hashlib.sha256(
+            reference_jsonl(trace).encode()).hexdigest()
+    return traces, reports, references
 
 
 @pytest.fixture(scope="module")
@@ -156,10 +165,16 @@ def test_report_hashes_match_golden_file(computed):
     assert_matches(GOLDEN_REPORTS, computed[1])
 
 
+def test_jsonl_matches_per_record_json_dumps(computed):
+    traces, _, references = computed
+    wrong = [key for key in traces if traces[key] != references[key]]
+    assert not wrong, f"{len(wrong)} encodings differ: {wrong[:10]}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_traces.py "
                  "--regenerate")
-    for path, hashes in zip((GOLDEN, GOLDEN_REPORTS), compute()):
+    for path, hashes in zip((GOLDEN, GOLDEN_REPORTS), compute()[:2]):
         path.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")

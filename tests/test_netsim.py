@@ -9,11 +9,12 @@ from byzreg.adversary import STRATEGIES, ReadyPoison
 from byzreg.checker import run_all_checks
 from byzreg.cli import bundled_scenario_names, resolve_scenario
 from byzreg.errors import ScenarioError, SimulationClosedError
-from byzreg.messages import WriteDone
-from byzreg.netsim import PendingMessage, Simulation, _InFlightPool
-from byzreg.rbcast import Send
+from byzreg.messages import Echo, WriteDone
+from byzreg.netsim import EVENT_FIELDS, Simulation, Trace
+from byzreg.rbcast import Broadcast, Send
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
                              matrix_scenario)
+from test_golden_traces import reference_jsonl
 
 
 def small_scenario(**kw):
@@ -68,6 +69,28 @@ class TestEnqueue:
         sim.run()
         with pytest.raises(SimulationClosedError):
             sim.enqueue(0, 1, WriteDone(1))
+
+    def test_out_of_range_receiver_rejected_before_recording(self):
+        sim = Simulation(small_scenario(workload=[]))
+        with pytest.raises(ValueError):
+            sim.enqueue(0, 4, WriteDone(1))
+        assert sim.events == [] and len(sim.pool) == 0
+        assert sim.enqueue(0, 1, WriteDone(1)) == 0
+
+    def test_broadcast_sends_to_every_process_in_pid_order(self):
+        sim = Simulation(small_scenario(workload=[]))
+        sim.enqueue(0, 1, WriteDone(1))
+        sim._process_effects(2, [Broadcast(Echo(1, "x", 1))])
+        sends = sim.events[1:]
+        assert [e["receiver"] for e in sends] == [0, 1, 2, 3]
+        assert [e["seq"] for e in sends] == [1, 2, 3, 4]
+        assert {e["kind"] for e in sends} == {"SEND"}
+        assert {e["sender"] for e in sends} == {2}
+        assert all(e["payload"] is sends[0]["payload"] for e in sends)
+        assert sends[0]["payload"] == {"tag": "ECHO", "origin": 1,
+                                       "value": "x", "sn": 1}
+        assert [sim._by_id[mid].receiver for mid in range(1, 5)] == [
+            0, 1, 2, 3]
 
 
 class TestLifecycle:
@@ -141,57 +164,119 @@ class TestLifecycle:
 
 
 class TestInFlightPool:
+    """The simulator's in-flight pool, driven through Simulation itself."""
+
     @staticmethod
-    def pool_of(count):
-        pool = _InFlightPool()
-        for mid in range(count):
-            pool.add(PendingMessage(mid, 0, 1, WriteDone(mid), mid))
-        return pool
+    def sim_with(receivers, **kw):
+        """A FIFO run with one message from p0 in flight per receiver."""
+        sim = Simulation(small_scenario(workload=[], scheduler="FIFO", **kw))
+        for mid, receiver in enumerate(receivers):
+            assert sim.enqueue(0, receiver, WriteDone(mid)) == mid
+        return sim
+
+    @staticmethod
+    def take(sim, mid):
+        msg = sim._by_id[mid]
+        sim._take(msg)
+        return msg
+
+    @staticmethod
+    def assert_consistent(sim):
+        """pool and _by_id hold the same messages; each knows its pos."""
+        pool, by_id = sim.pool, sim._by_id
+        assert all(pool[m.pos] is m for m in pool)
+        assert sorted(m.id for m in pool) == [
+            mid for mid, m in enumerate(by_id) if m is not None]
+        assert all(m is None or m.id == mid for mid, m in enumerate(by_id))
+        assert len(by_id) == sim._next_mid
+        assert all(m is None for m in by_id[:sim._low])
 
     def test_oldest_after_out_of_order_removals(self):
-        pool = self.pool_of(6)
+        sim = self.sim_with([1] * 6)
         for mid in (2, 0, 4):
-            pool.remove(mid)
-        assert pool.oldest().id == 1
-        pool.remove(1)
-        assert pool.oldest().id == 3
-        pool.add(PendingMessage(6, 0, 1, WriteDone(6), 6))
-        pool.remove(3)
-        assert pool.oldest().id == 5
-        pool.remove(5)
-        assert pool.oldest().id == 6
-        assert len(pool) == 1
+            self.take(sim, mid)
+        assert sim._choose().id == 1
+        self.take(sim, 1)
+        assert sim._choose().id == 3
+        assert sim.enqueue(0, 1, WriteDone(6)) == 6
+        self.take(sim, 3)
+        assert sim._choose().id == 5
+        self.take(sim, 5)
+        assert sim._choose().id == 6
+        assert len(sim.pool) == 1
 
     def test_oldest_correct_skips_delivered_and_byzantine_messages(self):
-        pool = _InFlightPool()
-        for mid in range(5):
-            pool.add(PendingMessage(mid, 0, 1, WriteDone(mid), mid,
-                                    correct=mid % 2 == 1))
-        assert pool.oldest().id == 0
-        assert pool.oldest_correct(5).id == 1
-        pool.remove(1)
-        assert pool.oldest_correct(5).id == 3
-        pool.remove(3)
-        assert pool.oldest_correct(5) is None
-        pool.add(PendingMessage(5, 0, 1, WriteDone(5), 5))
-        assert pool.oldest_correct(6).id == 5
+        sim = self.sim_with(
+            [3, 1, 3, 1, 3],
+            adversary=AdversarySpec("CRASH_SILENT", (3,), {}))
+        assert sim._choose().id == 0
+        assert sim._oldest_correct().id == 1
+        self.take(sim, 1)
+        assert sim._oldest_correct().id == 3
+        self.take(sim, 3)
+        assert sim._oldest_correct() is None
+        assert sim.enqueue(0, 1, WriteDone(5)) == 5
+        assert sim._oldest_correct().id == 5
 
     def test_drop_to_removes_only_messages_to_the_receivers(self):
-        pool = _InFlightPool()
-        for mid in range(6):
-            pool.add(PendingMessage(mid, 0, mid % 3, WriteDone(mid), mid))
-        assert pool.drop_to(frozenset({1, 2})) == 4
-        assert len(pool) == 2
-        assert pool.oldest().id == 0
-        pool.remove(0)
-        assert pool.oldest().id == 3
+        sim = self.sim_with([(mid + 1) % 3 for mid in range(6)])
+        assert sim._drop_to(frozenset({1, 2})) == 4
+        assert sorted(m.id for m in sim.pool) == [2, 5]
+        self.assert_consistent(sim)
+        assert sim._choose().id == 2
+        self.take(sim, 2)
+        assert sim._choose().id == 5
+
+    def test_positions_stay_consistent_through_removes_and_id_gaps(self):
+        sim = self.sim_with([], adversary=AdversarySpec("CRASH_SILENT", (3,),
+                                                        {}))
+        sim._aside = 0  # settling: messages to p3 are set aside at send
+        live = set()
+        # ids 3, 4, 7 and 8 go to p3, so they are never in flight
+        for step in "+0 +1 +2 -0 +5 -1 +6 +9 -6 -2 +10 +11 -11 -5 -10".split():
+            mid = int(step[1:])
+            if step[0] == "+":
+                while sim._next_mid < mid:
+                    sim.enqueue(0, 3, WriteDone(sim._next_mid))
+                assert sim.enqueue(0, 1, WriteDone(mid)) == mid
+                live.add(mid)
+            else:
+                assert self.take(sim, mid).id == mid
+                live.remove(mid)
+            assert {m.id for m in sim.pool} == live
+            self.assert_consistent(sim)
+        assert sim._choose().id == 9
+        assert sim._aside == 4
+
+    def test_drop_to_removes_in_id_order(self):
+        sim = self.sim_with([mid % 2 for mid in range(8)])
+        self.take(sim, 3)
+        removed = []
+        take = sim._take
+        sim._take = lambda msg: removed.append(msg.id) or take(msg)
+        assert sim._drop_to(frozenset({1})) == 3
+        assert removed == [1, 5, 7]
+        assert sorted(m.id for m in sim.pool) == [0, 2, 4, 6]
 
     def test_oldest_of_empty_pool_raises(self):
-        pool = self.pool_of(2)
-        pool.remove(0)
-        pool.remove(1)
+        sim = self.sim_with([1, 1])
+        assert sim.step()["receiver"] == 1
+        assert sim.step()["receiver"] == 1
+        assert sim.step() is None
         with pytest.raises(IndexError):
-            pool.oldest()
+            sim._choose()
+
+    def test_pool_stays_consistent_through_a_settled_run(self):
+        # the only entry is the Byzantine node's write, done when it fires
+        # at time 0, so the run settles at once: every later send to that
+        # node is set aside and never put in flight
+        sim = Simulation(resolve_scenario("mut-equivocate-even").with_seed(0))
+        while sim.step() is not None:
+            self.assert_consistent(sim)
+        assert sim.pool == []
+        # every message sent was delivered or set aside
+        assert sim._aside > 0
+        assert sim._next_mid == sim.time + sim._aside
 
 
 class TestFairness:
@@ -209,9 +294,9 @@ class TestFairness:
             if event is None:
                 break
             if victim_id is None and len(sim.pool) > 1:
-                victim_id = sim.pool.oldest().id
-                enqueue_time = sim.pool.oldest().enqueue_time
-            if victim_id is not None and sim.pool.get(victim_id) is None:
+                oldest = min(sim.pool, key=lambda m: m.id)
+                victim_id, enqueue_time = oldest.id, oldest.enqueue_time
+            if victim_id is not None and sim._by_id[victim_id] is None:
                 # delivered exactly when its age reached the bound
                 assert sim.time - enqueue_time <= bound + 1
                 return
@@ -290,12 +375,53 @@ class TestChannelSemantics:
                 delivered[key] += 1
         assert sent == delivered
 
+    def test_jsonl_matches_per_record_json_dumps(self):
+        shared = {"tag": "ECHO", "origin": 0, "value": "caf\u00e9 \u2603",
+                  "sn": 1}
+        events = [
+            {"seq": 0, "time": 0, "kind": "OP_START", "node": 0,
+             "sender": 0, "receiver": None,
+             "payload": {"op": "WRITE", "id": "w\u00fc", "target": 0,
+                         "value": "\u00e9\"\\\n"}},
+            {"seq": 1, "time": 0, "kind": "SEND", "node": 0, "sender": 0,
+             "receiver": 1, "payload": shared},
+            {"seq": 2, "time": 1, "kind": "DELIVER", "node": 1, "sender": 0,
+             "receiver": 1, "payload": shared},
+            {"seq": 3, "time": 1, "kind": "FINAL", "node": 1, "sender": None,
+             "receiver": None,
+             "payload": {"registers": [[None, 0], ["\U0001f600", 2]],
+                         "write_sn": 0, "read_sn": [0, 1]}},
+        ]
+        trace = Trace(scenario_name="caf\u00e9", n=2, t=0, seed=0,
+                      scheduler="RANDOM", adversary=None, byzantine=(),
+                      step_budget=10, outcome="QUIESCENT",
+                      expect_nonterminating=False, events=events,
+                      diagnostics=["\u00fcber"])
+        assert trace.jsonl() == reference_jsonl(trace)
+
     def test_trace_field_order_is_stable(self):
         trace = Simulation(small_scenario()).run()
         line = trace.jsonl().splitlines()[1]
         keys = list(json.loads(line).keys())
         assert keys == ["seq", "time", "kind", "node", "sender", "receiver",
                         "payload"]
+        assert tuple(keys) == EVENT_FIELDS
+
+    def test_every_record_has_the_event_field_layout(self):
+        # SENDs are built apart from the other records, and jsonl writes
+        # the fields of EVENT_FIELDS only, so every kind must match it
+        cfg = small_scenario(
+            adversary=AdversarySpec("EQUIVOCATE_WRITE", (3,), {}),
+            workload=[WorkloadOp("w1", 0, "write", value="x", at=0),
+                      WorkloadOp("w3", 3, "write", value="b", at=0),
+                      WorkloadOp("r1", 1, "read", target=3, after="w1")])
+        trace = Simulation(cfg).run()
+        kinds = {e["kind"] for e in trace.events}
+        assert kinds == {"OP_START", "SEND", "DELIVER", "RDELIVER", "OP_END",
+                         "FINAL"}
+        assert all(tuple(e) == EVENT_FIELDS for e in trace.events)
+        lines = trace.jsonl().splitlines()[1:]
+        assert all(tuple(json.loads(line)) == EVENT_FIELDS for line in lines)
 
 
 def final_state_cases():

@@ -8,7 +8,8 @@ import pytest
 
 from byzreg.errors import ProtocolMisuseError
 from byzreg.messages import App, Echo, Ready
-from byzreg.rbcast import PENDING_CAP, RDeliver, ReliableBroadcast, Send
+from byzreg.rbcast import (PENDING_CAP, Broadcast, RDeliver, ReliableBroadcast,
+                           Send)
 
 
 def make_node(node_id=0, n=4, t=1, **kw):
@@ -16,7 +17,14 @@ def make_node(node_id=0, n=4, t=1, **kw):
 
 
 def sends(effects):
-    return [e for e in effects if isinstance(e, Send)]
+    """The Sends in effects, each Broadcast expanded to processes 0..3."""
+    out = []
+    for e in effects:
+        if isinstance(e, Broadcast):
+            out.extend(Send(dest, e.payload) for dest in range(4))
+        elif isinstance(e, Send):
+            out.append(e)
+    return out
 
 
 def deliveries(effects):
@@ -33,7 +41,7 @@ def feed_ready(node, origin, value, sn, senders):
 class TestBroadcast:
     def test_first_broadcast_expands_to_all(self):
         node = make_node()
-        out = node.broadcast("a", 1)
+        out = sends(node.broadcast("a", 1))
         assert [s.dest for s in out] == [0, 1, 2, 3]
         assert all(s.payload == App("a", 1) for s in out)
 

@@ -12,7 +12,7 @@ from byzreg.messages import (App, CatchUp, CatchUpDone, ReadReq, Ready,
 from byzreg.mutations import (ECHO_THRESHOLD_NONSTRICT, READ_QUORUM_MINUS_ONE,
                               READY_DELIVER_AT_2T)
 from byzreg.register import Complete, RegEntry, RegisterNode
-from byzreg.rbcast import RDeliver, Send
+from byzreg.rbcast import Broadcast, RDeliver, Send
 
 
 def make_node(node_id=0, n=4, t=1, **kw):
@@ -20,7 +20,14 @@ def make_node(node_id=0, n=4, t=1, **kw):
 
 
 def sends(effects):
-    return [e for e in effects if isinstance(e, Send)]
+    """The Sends in effects, each Broadcast expanded to processes 0..3."""
+    out = []
+    for e in effects:
+        if isinstance(e, Broadcast):
+            out.extend(Send(dest, e.payload) for dest in range(4))
+        elif isinstance(e, Send):
+            out.append(e)
+    return out
 
 
 def payloads(effects):
