@@ -2,12 +2,13 @@
 
 Everything here is a pure function over a recorded trace.
 ``derive_histories`` is the only function that reads the trace's event
-records; it fills a ``History`` in one pass, and every other check works
-from that History and the trace's metadata (n, the Byzantine set, the
-outcome). The checker derives, per register, the sequence of values the
-correct processes applied when they r-delivered them (the register's
-history), resolves every completed read to a position in that history,
-and then decides:
+records, and the only one that groups operations by register; it fills
+a ``History`` in one pass, and every other check works from that History
+and the trace's metadata (n, the Byzantine set, the outcome). The checker
+derives, per register, the sequence of values the correct processes
+applied when they r-delivered them (the register's history), its writes
+and its completed reads, resolves every completed read to a position in
+that history, and then decides:
 
 * per-writer agreement: all correct processes apply the same value at each
   position of each register;
@@ -29,7 +30,10 @@ and then decides:
   fault-free runs;
 * a linearization witness: a total order of the operations that an
   independent validator accepts (each operation at a single point inside
-  its interval, reads returning the closest preceding write).
+  its interval, reads returning the closest preceding write), built with
+  one sort per register.
+
+So the whole checker, witness included, is O(ops log ops).
 
 Every FAIL verdict carries the sequence numbers of the events that exhibit
 the violation, so it can be replayed against the stored trace.
@@ -89,13 +93,21 @@ class History:
     """What the checks need from a trace's event records, gathered once.
 
     Per-register write sequences, the operations in start order with the
-    sends charged to each, the r-deliveries at correct processes and the
-    broadcasts correct origins started.
+    sends charged to each, each register's writes and completed reads
+    (``derive_histories`` is the only code that groups operations by
+    register), the r-deliveries at correct processes and the broadcasts
+    correct origins started.
     """
 
     values: dict[int, list[Value]]  # writer -> [H[1], H[2], ...]
-    first_apply_seq: dict[tuple[int, int], int]  # (writer, x) -> event seq
     ops: list[OperationRecord]  # in start order
+    # register -> its writes in index order. A faulty writer has no
+    # observable invocation, so its position x is a record that starts at
+    # the first correct apply of x and has no end; none of these is in ops
+    writes: dict[int, list[OperationRecord]] = field(default_factory=dict)
+    # register -> its completed reads in start order; every register with
+    # a read, open or not, has an entry
+    reads: dict[int, list[OperationRecord]] = field(default_factory=dict)
     derivation_verdicts: list[Verdict] = field(default_factory=list)
     # (node, origin, value, sn, seq) of each r-delivery at a correct node
     deliveries: list[tuple[int, int, Value, int, int]] = field(
@@ -104,14 +116,6 @@ class History:
     broadcasts: dict[tuple[int, int], set[Value]] = field(default_factory=dict)
     first_app_seq: dict[tuple[int, int], int] = field(default_factory=dict)
     unattributed: int = 0  # sends by correct processes no operation owns
-
-    def reads_of(self, target: int) -> list[OperationRecord]:
-        return [op for op in self.ops
-                if op.kind == "READ" and op.target == target and op.completed()]
-
-    def writes_of(self, target: int) -> list[OperationRecord]:
-        return [op for op in self.ops
-                if op.kind == "WRITE" and op.target == target]
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +136,12 @@ def derive_histories(trace: Trace) -> History:
     * catch-up traffic to the requester's latest read of that register
       started before the send.
 
-    Per-writer histories and agreement then come from the deliveries.
+    Per-writer histories and agreement then come from the deliveries, and
+    one pass over the operations groups them by register and resolves
+    each completed read.
     """
     correct = set(trace.correct_nodes())
+    byzantine = set(trace.byzantine)
     ops: dict[str, OperationRecord] = {}
     writes: dict[tuple[int, int], OperationRecord] = {}  # (writer, sn)
     # (reader, target, rsn) -> op
@@ -210,10 +217,11 @@ def derive_histories(trace: Trace) -> History:
 
     verdicts: list[Verdict] = []
     values: dict[int, list[Value]] = {}
-    first_seq: dict[tuple[int, int], int] = {}
+    register_writes: dict[int, list[OperationRecord]] = {}
     agreement_ok = True
     for writer, per_node in sorted(applies.items()):
         by_pos: dict[int, tuple[Value, int]] = {}
+        first_seq: dict[int, int] = {}  # position -> its first apply
         for node, seq_applies in sorted(per_node.items()):
             expected = 1
             for sn, value, seq in seq_applies:
@@ -235,33 +243,47 @@ def derive_histories(trace: Trace) -> History:
                             f"reg[{writer}] position {sn}: {seen_value!r} vs "
                             f"{value!r} at different correct nodes",
                             (seen_seq, seq)))
-                first_seq[(writer, sn)] = min(
-                    first_seq.get((writer, sn), seq), seq)
+                first_seq[sn] = min(first_seq.get(sn, seq), seq)
         # the history ends at the first position no correct node applied
         hist = values[writer] = []
         while len(hist) + 1 in by_pos:
             hist.append(by_pos[len(hist) + 1][0])
+        if writer in byzantine:
+            register_writes[writer] = [
+                OperationRecord("WRITE", f"write[{x}]", writer, writer,
+                                first_seq[x], None, value, index=x)
+                for x, value in enumerate(hist, 1)]
     if agreement_ok:
         verdicts.append(Verdict("per-writer-agreement", PASS))
 
+    register_reads: dict[int, list[OperationRecord]] = {}
+    resolution = Verdict("read-resolution", PASS)
     for op in ops.values():
-        if op.kind == "WRITE" or not op.completed() or not op.index:
-            continue  # index 0 is the initial value
+        if op.kind == "WRITE":
+            # a correct writer numbers its writes in start order
+            if op.target not in byzantine and op.index is not None:
+                register_writes.setdefault(op.target, []).append(op)
+            continue
+        completed = register_reads.setdefault(op.target, [])
+        if not op.completed():
+            continue
+        completed.append(op)
+        if not op.index or resolution.status == FAIL:
+            continue  # index 0 is the initial value; one FAIL is enough
         hist = values.get(op.target, [])
         if op.index > len(hist) or hist[op.index - 1] != op.value:
-            verdicts.append(Verdict(
+            resolution = Verdict(
                 "read-resolution", FAIL,
                 f"read {op.op_id} returned ({op.value!r}, {op.index}) which "
                 f"is not an entry of reg[{op.target}]'s history",
-                (op.start_seq, op.end_seq)))
-            break
-    else:
-        verdicts.append(Verdict("read-resolution", PASS))
+                (op.start_seq, op.end_seq))
+    verdicts.append(resolution)
 
-    return History(values=values, first_apply_seq=first_seq,
-                   ops=list(ops.values()), derivation_verdicts=verdicts,
-                   deliveries=deliveries, broadcasts=broadcasts,
-                   first_app_seq=first_app_seq, unattributed=unattributed)
+    return History(values=values, ops=list(ops.values()),
+                   writes=register_writes, reads=register_reads,
+                   derivation_verdicts=verdicts, deliveries=deliveries,
+                   broadcasts=broadcasts, first_app_seq=first_app_seq,
+                   unattributed=unattributed)
 
 
 # ---------------------------------------------------------------------------
@@ -280,41 +302,26 @@ def check_safety(history: History, trace: Trace) -> list[Verdict]:
     prefix, found in O(log ops), and the first violating pair is the one a
     scan of every pair in order would find.
     """
-    return [_check_read_then_write(history, set(trace.byzantine)),
+    return [_check_read_then_write(history),
             _check_write_then_read(history),
             _check_no_read_inversion(history)]
 
 
-def _write_starts(history: History, target: int,
-                  byz: set[int]) -> list[tuple[int, int, int | None]]:
-    """(index, start_seq, end_seq) for every write of target's register.
-
-    For a correct writer these are the operation's own events. A faulty
-    writer has no observable invocation, so position x "starts" when the
-    first correct process applies it; it has no end.
-    """
-    if target not in byz:
-        return [(op.index, op.start_seq, op.end_seq)
-                for op in history.writes_of(target) if op.index is not None]
-    return [(x, history.first_apply_seq[(target, x)], None)
-            for x in range(1, len(history.values.get(target, [])) + 1)]
-
-
-def _check_read_then_write(history: History, byz: set[int]) -> Verdict:
+def _check_read_then_write(history: History) -> Verdict:
     checked = 0
-    for target in sorted(set(history.values) | {op.target for op in history.ops}):
-        writes = _write_starts(history, target, byz)
-        starts = [start for _, start, _ in writes]
-        for read in history.reads_of(target):
+    for target, reads in sorted(history.reads.items()):
+        writes = history.writes.get(target, [])
+        starts = [w.start_seq for w in writes]
+        for read in reads:
             later = bisect.bisect_right(starts, read.end_seq)
             checked += len(writes) - later
-            if later < len(writes) and writes[later][0] <= read.index:
-                y, w_start, _ = writes[later]
+            if later < len(writes) and writes[later].index <= read.index:
+                w = writes[later]
                 return Verdict(
                     "read-followed-by-write", FAIL,
                     f"read {read.op_id} of reg[{target}] returned index "
-                    f"{read.index} but finished before write {y} started",
-                    (read.start_seq, read.end_seq, w_start))
+                    f"{read.index} but finished before write {w.index} "
+                    "started", (read.start_seq, read.end_seq, w.start_seq))
     if checked == 0:
         return Verdict("read-followed-by-write", VACUOUS,
                        "no read strictly precedes a write")
@@ -323,11 +330,13 @@ def _check_read_then_write(history: History, byz: set[int]) -> Verdict:
 
 def _check_write_then_read(history: History) -> Verdict:
     checked = 0
-    for target in sorted(history.values):
-        writes = [op for op in history.writes_of(target) if op.completed()]
+    for target, reads in sorted(history.reads.items()):
+        if target not in history.values:
+            continue
+        writes = [w for w in history.writes.get(target, []) if w.completed()]
         ends = [w.end_seq for w in writes]
         indices = [w.index for w in writes]
-        for read in history.reads_of(target):
+        for read in reads:
             before = bisect.bisect_left(ends, read.start_seq)
             checked += before
             newer = bisect.bisect_right(indices, read.index, 0, before)
@@ -347,9 +356,7 @@ def _check_write_then_read(history: History) -> Verdict:
 
 def _check_no_read_inversion(history: History) -> Verdict:
     checked = 0
-    targets = {op.target for op in history.ops if op.kind == "READ"}
-    for target in sorted(targets):
-        reads = history.reads_of(target)
+    for _target, reads in sorted(history.reads.items()):
         starts = [r.start_seq for r in reads]
         # least[i]: the least index among reads[i:]
         least = list(itertools.accumulate(
@@ -497,43 +504,30 @@ class LinItem:
     label: str
 
 
-def _register_items(history: History, target: int,
-                    byz: set[int]) -> list[LinItem]:
-    items = [LinItem("write", 0, None, -1, "init")]
-    for (x, start, end) in _write_starts(history, target, byz):
-        items.append(LinItem("write", x, start, end, f"write[{x}]"))
-    for read in history.reads_of(target):
-        items.append(LinItem("read", read.index, read.start_seq, read.end_seq,
-                             read.op_id))
-    return items
-
-
 def build_linearization(history: History, trace: Trace
                         ) -> tuple[dict[int, list[LinItem]], Verdict]:
     """Construct a witness order per register and validate it independently.
 
     Writes appear in history order; each read is placed right after the
     write whose value it returned, reads of the same position ordered by
-    their start. The validator re-checks the order from scratch.
+    their start. That is one sort by (index, read after write), stable
+    over reads in start order. The validator re-checks the order from
+    scratch.
     """
-    byz = set(trace.byzantine)
     orders: dict[int, list[LinItem]] = {}
-    targets = sorted(set(history.values)
-                     | {op.target for op in history.ops if op.kind == "READ"})
+    targets = sorted(set(history.values) | set(history.reads))
     for target in targets:
-        items = _register_items(history, target, byz)
-        writes = sorted([i for i in items if i.kind == "write"],
-                        key=lambda i: i.index)
-        reads = sorted([i for i in items if i.kind == "read"],
-                       key=lambda i: (i.index, i.start))
-        sequence: list[LinItem] = []
-        for w in writes:
-            sequence.append(w)
-            sequence.extend(r for r in reads if r.index == w.index)
-        orders[target] = sequence
-        if len(sequence) != len(writes) + len(reads):
-            placed = {id(i) for i in sequence}
-            lost = [r.label for r in reads if id(r) not in placed]
+        items = [LinItem("write", 0, None, -1, "init")]
+        items += [LinItem("write", w.index, w.start_seq, w.end_seq,
+                          f"write[{w.index}]")
+                  for w in history.writes.get(target, [])]
+        written = {i.index for i in items}
+        items += [LinItem("read", r.index, r.start_seq, r.end_seq, r.op_id)
+                  for r in history.reads.get(target, [])]
+        items.sort(key=lambda i: (i.index, i.kind == "read"))
+        sequence = orders[target] = [i for i in items if i.index in written]
+        if len(sequence) < len(items):
+            lost = [i.label for i in items if i.index not in written]
             return orders, Verdict(
                 "linearization", FAIL,
                 f"reg[{target}]: reads {lost} returned indices outside the "

@@ -250,6 +250,8 @@ class Simulation:
 
     def enqueue(self, sender: int, receiver: int, payload: Message) -> int:
         """Put a message in flight; returns its unique event id."""
+        if self.halted:
+            raise SimulationClosedError("cannot enqueue after the run halted")
         mid = self._next_mid
         self._send(sender, (receiver,), payload)
         return mid
@@ -260,8 +262,6 @@ class Simulation:
         One SEND record per receiver, all sharing one payload dict, and
         one message id each, issued in order.
         """
-        if self.halted:
-            raise SimulationClosedError("cannot enqueue after the run halted")
         n = self.n
         if not 0 <= sender < n:
             raise ValueError("sender/receiver out of range")
@@ -460,7 +460,12 @@ class Simulation:
     # -- main loop ------------------------------------------------------------------
 
     def step(self) -> dict | None:
-        """Deliver one message; returns its DELIVER event, or None at rest."""
+        """Deliver one message; returns its DELIVER event, or None at rest.
+
+        Once the run has halted its trace is final: stepping raises.
+        """
+        if self.halted:
+            raise SimulationClosedError("cannot step after the run halted")
         timed = self._timed
         if self._ready or (timed and timed[0][0] <= self.time):
             self._fire_workload()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from byzreg.checker import (FAIL, PASS, VACUOUS, History, LinItem,
-                            OperationRecord, Verdict, _write_starts,
+                            OperationRecord, Verdict,
                             brute_force_linearizable,
                             build_linearization, check_rb, check_safety,
                             check_termination, count_messages,
@@ -203,19 +203,19 @@ class TestCheckSafety:
 
 def pairwise_safety(history, trace):
     """check_safety by a scan of every ordered pair, kept as a reference."""
-    byz = set(trace.byzantine)
-    return [_pairwise_read_then_write(history, byz),
+    return [_pairwise_read_then_write(history),
             _pairwise_write_then_read(history),
             _pairwise_no_read_inversion(history)]
 
 
-def _pairwise_read_then_write(history, byz):
+def _pairwise_read_then_write(history):
     checked = 0
     for target in sorted(set(history.values)
                          | {op.target for op in history.ops}):
-        writes = _write_starts(history, target, byz)
-        for read in history.reads_of(target):
-            for (y, w_start, _w_end) in writes:
+        writes = [(w.index, w.start_seq)
+                  for w in history.writes.get(target, [])]
+        for read in history.reads.get(target, []):
+            for (y, w_start) in writes:
                 if read.end_seq < w_start:
                     checked += 1
                     if not read.index < y:
@@ -234,8 +234,8 @@ def _pairwise_read_then_write(history, byz):
 def _pairwise_write_then_read(history):
     checked = 0
     for target in sorted(history.values):
-        writes = [op for op in history.writes_of(target) if op.completed()]
-        for read in history.reads_of(target):
+        writes = [w for w in history.writes.get(target, []) if w.completed()]
+        for read in history.reads.get(target, []):
             for w in writes:
                 if w.end_seq < read.start_seq:
                     checked += 1
@@ -257,7 +257,7 @@ def _pairwise_no_read_inversion(history):
     checked = 0
     for target in sorted({op.target for op in history.ops
                           if op.kind == "READ"}):
-        reads = history.reads_of(target)
+        reads = history.reads.get(target, [])
         for r1, r2 in itertools.permutations(reads, 2):
             if r1.end_seq < r2.start_seq:
                 checked += 1
@@ -273,6 +273,43 @@ def _pairwise_no_read_inversion(history):
         return Verdict("no-read-inversion", VACUOUS,
                        "no two reads of one register are strictly ordered")
     return Verdict("no-read-inversion", PASS, f"{checked} pairs")
+
+
+def nested_loop_linearization(history, trace):
+    """build_linearization placing reads by a scan per write, kept as a
+    reference for the witness order."""
+    orders = {}
+    targets = sorted(set(history.values)
+                     | {op.target for op in history.ops if op.kind == "READ"})
+    for target in targets:
+        writes = [LinItem("write", 0, None, -1, "init")]
+        writes += [LinItem("write", w.index, w.start_seq, w.end_seq,
+                           f"write[{w.index}]")
+                   for w in history.writes.get(target, [])]
+        writes.sort(key=lambda i: i.index)
+        reads = sorted([LinItem("read", r.index, r.start_seq, r.end_seq,
+                                r.op_id)
+                        for r in history.reads.get(target, [])],
+                       key=lambda i: (i.index, i.start))
+        sequence = []
+        for w in writes:
+            sequence.append(w)
+            sequence.extend(r for r in reads if r.index == w.index)
+        orders[target] = sequence
+        if len(sequence) != len(writes) + len(reads):
+            placed = {id(i) for i in sequence}
+            lost = [r.label for r in reads if id(r) not in placed]
+            return orders, Verdict(
+                "linearization", FAIL,
+                f"reg[{target}]: reads {lost} returned indices outside the "
+                "history", ())
+        ok, reason = validate_linearization(sequence)
+        if not ok:
+            return orders, Verdict(
+                "linearization", FAIL, f"reg[{target}]: {reason}",
+                tuple(i.start for i in sequence if i.start is not None))
+    return orders, Verdict("linearization", PASS,
+                           f"{len(targets)} registers" if targets else "empty")
 
 
 @st.composite
@@ -387,6 +424,26 @@ class TestSweepMatchesPairwiseScan:
         assert details["read-followed-by-write"] == f"{m * w} pairs"
 
 
+class TestWitnessMatchesNestedLoop:
+    def test_every_golden_case(self):
+        reads = 0
+        for key, cfg in golden_cases().items():
+            trace = Simulation(cfg).run()
+            history = derive_histories(trace)
+            witness = build_linearization(history, trace)
+            assert witness == nested_loop_linearization(history, trace), key
+            reads += sum(i.kind == "read" for order in witness[0].values()
+                         for i in order)
+        assert reads  # the orders place reads, not only writes
+
+    @settings(max_examples=300, deadline=None)
+    @given(register_traces())
+    def test_synthetic_histories(self, trace):
+        history = derive_histories(trace)
+        assert (build_linearization(history, trace)
+                == nested_loop_linearization(history, trace))
+
+
 class TestCheckRb:
     def _app_send(self, origin, value, sn):
         return ev("SEND", origin, {"tag": "APP", "value": value, "sn": sn},
@@ -479,7 +536,11 @@ class TestLinearization:
 
     def _history(self, ops, n_writes):
         values = {0: [f"v{x}" for x in range(1, n_writes + 1)]}
-        return History(values=values, first_apply_seq={}, ops=ops)
+        return History(
+            values=values, ops=ops,
+            writes={0: [op for op in ops if op.kind == "WRITE"]},
+            reads={0: [op for op in ops
+                       if op.kind == "READ" and op.completed()]})
 
     def test_concurrent_reads_of_same_write_sit_together(self):
         ops = [self._write("w1", 1, 0, 5),
@@ -500,6 +561,19 @@ class TestLinearization:
         assert verdict.status == PASS
         labels = [i.label for i in orders[0]]
         assert labels.index("r1") == labels.index("write[4]") + 1
+
+    def test_read_of_an_index_past_the_history_is_reported_lost(self):
+        ops = [self._write("w1", 1, 0, 5),
+               self._read("r1", 1, 1, 6, 8),
+               self._write("w2", 2, 10, 15),
+               self._read("r2", 2, 3, 16, 20)]
+        hist = self._history(ops, 2)
+        orders, verdict = build_linearization(hist, make_trace([]))
+        assert verdict == Verdict(
+            "linearization", FAIL,
+            "reg[0]: reads ['r2'] returned indices outside the history", ())
+        assert [i.label for i in orders[0]] == [
+            "init", "write[1]", "r1", "write[2]"]
 
     def test_empty_history_is_trivially_linearizable(self):
         orders, verdict = build_linearization(

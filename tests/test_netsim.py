@@ -104,6 +104,21 @@ class TestLifecycle:
         assert trace.outcome == "BUDGET_EXCEEDED"
         assert trace.diagnostics
 
+    def test_halted_run_rejects_steps_and_keeps_its_trace(self):
+        sim = Simulation(small_scenario(
+            workload=[WorkloadOp("w1", 0, "write", value="x", at=0)],
+            step_budget=5))
+        trace = sim.run()
+        assert trace.outcome == "BUDGET_EXCEEDED"
+        assert len(trace.events) == 26
+        digest = trace.trace_hash()
+        with pytest.raises(SimulationClosedError):
+            sim.step()
+        with pytest.raises(SimulationClosedError):
+            sim.run()
+        assert len(trace.events) == 26
+        assert trace.trace_hash() == digest
+
     def test_time_triggered_op_fires_on_idle_network(self):
         cfg = small_scenario(workload=[
             WorkloadOp("w1", 0, "write", value="x", at=500)])
