@@ -14,7 +14,8 @@ from .checker import (CheckReport, Verdict, check_rb, check_safety,
                       check_termination, build_linearization, count_messages,
                       derive_histories, min_quorum_intersection,
                       quorum_intersection_holds, run_all_checks)
-from .errors import ProtocolMisuseError, ScenarioError, SimulationClosedError
+from .errors import (ProtocolMisuseError, ScenarioError, SimulationClosedError,
+                     TraceError)
 from .netsim import Simulation, Trace
 from .rbcast import ReliableBroadcast
 from .register import RegisterNode
@@ -24,7 +25,7 @@ from .scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
 __all__ = [
     "AdversarySpec", "CheckReport", "ProtocolMisuseError", "RegisterNode",
     "ReliableBroadcast", "ScenarioConfig", "ScenarioError", "Simulation",
-    "SimulationClosedError", "Trace", "Verdict", "WorkloadOp",
+    "SimulationClosedError", "Trace", "TraceError", "Verdict", "WorkloadOp",
     "build_linearization", "check_rb", "check_safety", "check_termination",
     "count_messages", "derive_histories", "matrix_scenario", "max_tolerated",
     "min_quorum_intersection", "quorum_intersection_holds", "run_all_checks",

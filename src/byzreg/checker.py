@@ -44,6 +44,7 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
+from .errors import TraceError
 from .messages import Value
 from .netsim import Trace
 
@@ -139,6 +140,9 @@ def derive_histories(trace: Trace) -> History:
     Per-writer histories and agreement then come from the deliveries, and
     one pass over the operations groups them by register and resolves
     each completed read.
+
+    Raises TraceError, naming the record's seq, for an OP_END whose id
+    has no OP_START or whose sn is not a non-negative integer.
     """
     correct = set(trace.correct_nodes())
     byzantine = set(trace.byzantine)
@@ -152,13 +156,10 @@ def derive_histories(trace: Trace) -> History:
     broadcasts: dict[tuple[int, int], set[Value]] = {}
     first_app_seq: dict[tuple[int, int], int] = {}
     unattributed = 0
-    for event in trace.events:
-        kind = event["kind"]
+    for seq, _, kind, node, sender, receiver, p in trace.events:
         if kind == "DELIVER":  # about half the records; none is needed
             continue
-        p = event["payload"]
         if kind == "SEND":
-            sender = event["sender"]
             if sender not in correct:
                 continue
             tag = p["tag"]
@@ -166,32 +167,32 @@ def derive_histories(trace: Trace) -> History:
             if tag == "APP":
                 key = (sender, p["sn"])
                 broadcasts.setdefault(key, set()).add(p["value"])
-                first_app_seq.setdefault(key, event["seq"])
+                first_app_seq.setdefault(key, seq)
                 op = writes.get(key)
             elif tag in ("ECHO", "READY"):
                 op = writes.get((p["origin"], p["sn"]))
             elif tag == "WRITE_DONE":
-                op = writes.get((event["receiver"], p["sn"]))
+                op = writes.get((receiver, p["sn"]))
             elif tag == "READ":
                 op = reads.get((sender, p["target"], p["rsn"]))
             elif tag == "STATE":
-                op = reads.get((event["receiver"], p["target"], p["rsn"]))
+                op = reads.get((receiver, p["target"], p["rsn"]))
             elif tag == "CATCH_UP":
                 op = latest.get(("READ", sender, p["target"]))
             elif tag == "CATCH_UP_DONE":
-                op = latest.get(("READ", event["receiver"], p["target"]))
+                op = latest.get(("READ", receiver, p["target"]))
             if op is None:
                 unattributed += 1  # e.g. replies to a Byzantine requester
             else:
                 op.counts[tag] = op.counts.get(tag, 0) + 1
         elif kind == "RDELIVER":
-            if event["node"] in correct:
-                deliveries.append((event["node"], p["origin"], p["value"],
-                                   p["sn"], event["seq"]))
+            if node in correct:
+                deliveries.append((node, p["origin"], p["value"], p["sn"],
+                                   seq))
         elif kind == "OP_START":
             op = OperationRecord(
-                kind=p["op"], op_id=p["id"], invoker=event["node"],
-                target=p["target"], start_seq=event["seq"], end_seq=None,
+                kind=p["op"], op_id=p["id"], invoker=node,
+                target=p["target"], start_seq=seq, end_seq=None,
                 value=p.get("value"))
             key = (op.kind, op.invoker, op.target)
             previous = latest.get(key)
@@ -205,10 +206,17 @@ def derive_histories(trace: Trace) -> History:
             else:
                 reads[(op.invoker, op.target, op.number)] = op
         elif kind == "OP_END":
-            op = ops[p["id"]]
-            op.end_seq = event["seq"]
+            op = ops.get(p["id"])
+            if op is None:
+                raise TraceError(f"record {seq}: OP_END of {p['id']!r}, "
+                                 "which has no OP_START")
+            index = p["sn"]
+            if type(index) is not int or index < 0:
+                raise TraceError(f"record {seq}: OP_END of {p['id']!r} has "
+                                 f"sn {index!r}, not a non-negative integer")
+            op.end_seq = seq
             op.value = p["value"]
-            op.index = p["sn"]
+            op.index = index
 
     applies: dict[int, dict[int, list[tuple[int, Value, int]]]] = {}
     for node, origin, value, sn, seq in deliveries:

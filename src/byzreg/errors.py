@@ -16,3 +16,7 @@ class ScenarioError(Exception):
 
 class SimulationClosedError(Exception):
     """An interaction was attempted with a simulation that already halted."""
+
+
+class TraceError(Exception):
+    """A trace's records are malformed: the checker cannot read them."""

@@ -36,23 +36,26 @@ in indexes (dependents by "after" id, a heap on "at", and per-process
 lists of entries that found their process busy), so a delivery at which
 no entry is due costs a constant-time check, however long the workload.
 
-Each run produces a trace: one structured record per event with a fixed
-field order, so a (scenario, seed) pair reproduces the identical byte
-stream. The run ends with one FINAL record per correct node, in pid order,
-holding that node's registers and operation counters as plain JSON. The
-trace is the only input the checker ever looks at.
+Each run produces a trace: one record per event, an ``Event`` tuple of
+the ``EVENT_FIELDS`` values in that order, so a (scenario, seed) pair
+reproduces the identical byte stream. The simulator and the checker
+unpack records by position; other readers may index one by field name,
+``e["kind"]``. The run ends with one FINAL record per correct node, in
+pid order, holding that node's registers and operation counters as plain
+JSON. The trace is the only input the checker ever looks at.
 
-A record's "payload" dict is shared: a message's SEND and DELIVER records,
+A record's payload dict is shared: a message's SEND and DELIVER records,
 and the SENDs of one message object to many receivers, all hold the same
 dict. Treat payloads as read-only.
 
 Sends are batched: a node's ``Broadcast`` effect becomes one call that
 puts the message in flight to processes 0..n-1 in pid order, encoding the
-payload once and appending one SEND record per receiver. The in-flight
-pool is two lists: one indexed by message id (None once a message is
-delivered or set aside), which the oldest-message cursors walk, and one of
-the in-flight messages in any order, each holding its own index, for the
-uniform draw and swap-removal. A delivery costs no dict operation on
+payload once, appending one SEND record per receiver and keeping the
+encoded payload on each in-flight message for its DELIVER record. The
+in-flight pool is two lists: one indexed by message id (None once a
+message is delivered or set aside), which the oldest-message cursors
+walk, and one of the in-flight messages in any order, each holding its
+own index, for the uniform draw and swap-removal. A delivery costs no dict operation on
 either, and ``step`` skips the workload triggers unless one is due.
 """
 from __future__ import annotations
@@ -76,26 +79,43 @@ OUTCOME_BUDGET = "BUDGET_EXCEEDED"
 OUTCOME_STUCK = "STUCK"
 
 # The fields of an event record, in order. _record builds every record
-# except SENDs, which _send builds inline, one per message; Trace.jsonl
-# formats records through _RECORD, which writes exactly these fields in
-# this order. A field changes here and in all three places at once.
+# except SENDs, which _send builds inline, one per message; Trace.jsonl and
+# checker.derive_histories unpack records by position, and Trace.jsonl
+# formats them through _RECORD, which writes exactly these fields in this
+# order. A field changes here and in all four places at once.
 EVENT_FIELDS = ("seq", "time", "kind", "node", "sender", "receiver",
                 "payload")
+_FIELD_INDEX = {name: i for i, name in enumerate(EVENT_FIELDS)}
 # one event record as a compact JSON line; see Trace.jsonl
 _RECORD = ('{"seq":%d,"time":%d,"kind":"%s","node":%s,"sender":%s,'
            '"receiver":%s,"payload":%s}')
 
 
+class Event(tuple):
+    """One trace record: the values of EVENT_FIELDS, in that order.
+
+    A tuple, so a record costs no dict. Indexing also takes a field name,
+    ``e["kind"]``, for readers that prefer names to positions.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key, _get=tuple.__getitem__, _index=_FIELD_INDEX):
+        return _get(self, _index[key] if type(key) is str else key)
+
+
 class PendingMessage:
-    __slots__ = ("id", "sender", "receiver", "payload", "enqueue_time",
-                 "correct", "pos")
+    __slots__ = ("id", "sender", "receiver", "payload", "wire",
+                 "enqueue_time", "correct", "pos")
 
     def __init__(self, mid: int, sender: int, receiver: int,
-                 payload: Message, enqueue_time: int, correct: bool = True):
+                 payload: Message, wire: dict, enqueue_time: int,
+                 correct: bool = True):
         self.id = mid
         self.sender = sender
         self.receiver = receiver
         self.payload = payload
+        self.wire = wire  # payload.to_wire(), shared with the SEND record
         self.enqueue_time = enqueue_time
         self.correct = correct  # sender and receiver are both correct
         self.pos = -1  # index in Simulation.pool while in flight
@@ -115,9 +135,9 @@ class Trace:
     step_budget: int
     outcome: str
     expect_nonterminating: bool
-    # one dict per event, in seq order; payload dicts are shared between
-    # events (see the module docstring) and must be treated as read-only
-    events: list[dict] = field(default_factory=list)
+    # one Event per record, in seq order; payload dicts are shared between
+    # records (see the module docstring) and must be treated as read-only
+    events: list[Event] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
     def correct_nodes(self) -> list[int]:
@@ -154,14 +174,12 @@ class Trace:
         encode = json.JSONEncoder(separators=(",", ":")).encode
         lines = [encode(self.meta_record())]
         encoded: dict[int, str] = {}  # id(payload) -> JSON
-        for e in self.events:
-            p = e["payload"]
+        for seq, time, kind, node, sender, receiver, p in self.events:
             text = encoded.get(id(p))
             if text is None:
                 text = encoded[id(p)] = encode(p)
-            node, sender, receiver = e["node"], e["sender"], e["receiver"]
             lines.append(_RECORD % (
-                e["seq"], e["time"], e["kind"],
+                seq, time, kind,
                 "null" if node is None else node,
                 "null" if sender is None else sender,
                 "null" if receiver is None else receiver, text))
@@ -210,7 +228,7 @@ class Simulation:
         self.time = 0
         self._seq = 0
         self._next_mid = 0
-        self.events: list[dict] = []
+        self.events: list[Event] = []
         self.halted = False
         self._op_state = {op.id: "waiting" for op in scenario.workload}
         self._open = len(scenario.workload)  # entries not yet done
@@ -231,17 +249,10 @@ class Simulation:
     # -- trace plumbing ------------------------------------------------------
 
     def _record(self, kind: str, node: int, sender, receiver,
-                payload: dict) -> dict:
+                payload: dict) -> Event:
         # fields in EVENT_FIELDS order; _send builds SENDs the same way
-        event = {
-            "seq": self._seq,
-            "time": self.time,
-            "kind": kind,
-            "node": node,
-            "sender": sender,
-            "receiver": receiver,
-            "payload": payload,
-        }
+        event = tuple.__new__(Event, (self._seq, self.time, kind, node,
+                                      sender, receiver, payload))
         self._seq += 1
         self.events.append(event)
         return event
@@ -272,14 +283,14 @@ class Simulation:
         sender_byz = sender in byzantine
         rank = self.strategy.delivery_rank if self._reorder else None
         seq, mid = self._seq, self._next_mid
+        new = tuple.__new__
         for receiver in receivers:
             if not 0 <= receiver < n:
                 self._seq, self._next_mid = seq, mid
                 raise ValueError("sender/receiver out of range")
             # fields in EVENT_FIELDS order, as in _record
-            events.append({"seq": seq, "time": time, "kind": "SEND",
-                           "node": sender, "sender": sender,
-                           "receiver": receiver, "payload": wire})
+            events.append(new(Event, (seq, time, "SEND", sender, sender,
+                                      receiver, wire)))
             seq += 1
             if sender_byz or receiver in byzantine:
                 if receiver in byzantine and self._aside is not None:
@@ -287,10 +298,11 @@ class Simulation:
                     by_id.append(None)
                     mid += 1
                     continue
-                msg = PendingMessage(mid, sender, receiver, payload, time,
-                                     False)
+                msg = PendingMessage(mid, sender, receiver, payload, wire,
+                                     time, False)
             else:
-                msg = PendingMessage(mid, sender, receiver, payload, time)
+                msg = PendingMessage(mid, sender, receiver, payload, wire,
+                                     time)
             msg.pos = len(pool)
             pool.append(msg)
             by_id.append(msg)
@@ -352,8 +364,16 @@ class Simulation:
             msg = by_id[heapq.heappop(ranked)[1]]
             if msg is not None:
                 return msg
+        # uniform over the pool: rng.randrange(len(pool)) inlined, drawing
+        # the same bits, without its two Python frames
         pool = self.pool
-        return pool[self.rng.randrange(len(pool))]
+        size = len(pool)
+        getrandbits = self.rng.getrandbits
+        bits = size.bit_length()
+        r = getrandbits(bits)
+        while r >= size:
+            r = getrandbits(bits)
+        return pool[r]
 
     # -- node effects -----------------------------------------------------------
 
@@ -459,7 +479,7 @@ class Simulation:
 
     # -- main loop ------------------------------------------------------------------
 
-    def step(self) -> dict | None:
+    def step(self) -> Event | None:
         """Deliver one message; returns its DELIVER event, or None at rest.
 
         Once the run has halted its trace is final: stepping raises.
@@ -475,8 +495,7 @@ class Simulation:
         self._take(msg)
         self.time += 1
         sender, receiver, payload = msg.sender, msg.receiver, msg.payload
-        event = self._record("DELIVER", receiver, sender, receiver,
-                             payload.to_wire())
+        event = self._record("DELIVER", receiver, sender, receiver, msg.wire)
         node = self.nodes.get(receiver)
         if node is not None:
             effects = node.handle(sender, payload)

@@ -19,9 +19,11 @@ from byzreg.checker import (FAIL, PASS, VACUOUS, History, LinItem,
                             quorum_intersection_holds, run_all_checks,
                             validate_linearization)
 from byzreg.cli import resolve_scenario
+from byzreg.errors import TraceError
 from byzreg.netsim import Simulation, Trace
 from byzreg.scenario import ScenarioConfig, WorkloadOp, matrix_scenario
 from test_golden_traces import cases as golden_cases
+from test_netsim import event
 
 
 def make_trace(events, n=4, t=1, byz=(), outcome="QUIESCENT"):
@@ -36,9 +38,9 @@ _seq = itertools.count()
 
 def ev(kind, node, payload, sender=None, receiver=None, seq=None):
     seq = next(_seq) if seq is None else seq
-    return {"seq": seq, "time": seq, "kind": kind, "node": node,
-            "sender": node if sender is None else sender,
-            "receiver": receiver, "payload": payload}
+    return event(seq=seq, time=seq, kind=kind, node=node,
+                 sender=node if sender is None else sender,
+                 receiver=receiver, payload=payload)
 
 
 def rdeliver(node, origin, value, sn, seq=None):
@@ -117,6 +119,25 @@ class TestDeriveHistories:
         fails = {v.prop: v for v in report.verdicts if v.status == FAIL}
         assert "out of order" in fails["per-writer-agreement"].detail
         assert "read-resolution" in fails
+
+    def test_read_ending_with_a_null_sn_is_a_trace_error(self):
+        events = [op_start(0, "WRITE", "w1", 0, value="a", seq=0),
+                  *(rdeliver(node, 0, "a", 1, seq=node + 1)
+                    for node in (0, 1, 2)),
+                  op_end(0, "WRITE", "w1", 0, "a", 1, seq=4),
+                  op_start(1, "READ", "r1", 0, seq=5),
+                  op_end(1, "READ", "r1", 0, "a", None, seq=6)]
+        with pytest.raises(TraceError,
+                           match=r"record 6: OP_END of 'r1' has sn None"):
+            run_all_checks(make_trace(events))
+
+    def test_op_end_without_op_start_is_a_trace_error(self):
+        events = [*(rdeliver(node, 0, "a", 1, seq=node) for node in (0, 1, 2)),
+                  op_end(0, "WRITE", "w1", 0, "a", 1, seq=3)]
+        with pytest.raises(TraceError,
+                           match=r"record 3: OP_END of 'w1', which has no "
+                                 r"OP_START"):
+            run_all_checks(make_trace(events))
 
 
 class TestCheckSafety:

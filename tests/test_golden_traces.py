@@ -24,7 +24,7 @@ import pytest
 from byzreg.checker import CheckReport, run_all_checks
 from byzreg.cli import bundled_scenario_names, resolve_scenario
 from byzreg.mutations import ALL_MUTATIONS
-from byzreg.netsim import Simulation
+from byzreg.netsim import EVENT_FIELDS, Simulation
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
                              matrix_scenario)
 
@@ -128,8 +128,10 @@ def report_hash(report: CheckReport) -> str:
 
 def reference_jsonl(trace) -> str:
     """The trace encoded one json.dumps per record, as Trace.jsonl must."""
+    records = [trace.meta_record(),
+               *(dict(zip(EVENT_FIELDS, e)) for e in trace.events)]
     return "".join(json.dumps(record, separators=(",", ":")) + "\n"
-                   for record in (trace.meta_record(), *trace.events))
+                   for record in records)
 
 
 def compute() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:

@@ -10,11 +10,17 @@ from byzreg.checker import run_all_checks
 from byzreg.cli import bundled_scenario_names, resolve_scenario
 from byzreg.errors import ScenarioError, SimulationClosedError
 from byzreg.messages import Echo, WriteDone
-from byzreg.netsim import EVENT_FIELDS, Simulation, Trace
+from byzreg.netsim import EVENT_FIELDS, Event, Simulation, Trace
 from byzreg.rbcast import Broadcast, Send
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
                              matrix_scenario)
 from test_golden_traces import reference_jsonl
+
+
+def event(**fields) -> Event:
+    """A trace record from its fields by name, laid out as Simulation's."""
+    assert fields.keys() == set(EVENT_FIELDS)
+    return tuple.__new__(Event, (fields[name] for name in EVENT_FIELDS))
 
 
 def small_scenario(**kw):
@@ -394,18 +400,18 @@ class TestChannelSemantics:
         shared = {"tag": "ECHO", "origin": 0, "value": "caf\u00e9 \u2603",
                   "sn": 1}
         events = [
-            {"seq": 0, "time": 0, "kind": "OP_START", "node": 0,
-             "sender": 0, "receiver": None,
-             "payload": {"op": "WRITE", "id": "w\u00fc", "target": 0,
-                         "value": "\u00e9\"\\\n"}},
-            {"seq": 1, "time": 0, "kind": "SEND", "node": 0, "sender": 0,
-             "receiver": 1, "payload": shared},
-            {"seq": 2, "time": 1, "kind": "DELIVER", "node": 1, "sender": 0,
-             "receiver": 1, "payload": shared},
-            {"seq": 3, "time": 1, "kind": "FINAL", "node": 1, "sender": None,
-             "receiver": None,
-             "payload": {"registers": [[None, 0], ["\U0001f600", 2]],
-                         "write_sn": 0, "read_sn": [0, 1]}},
+            event(seq=0, time=0, kind="OP_START", node=0,
+                  sender=0, receiver=None,
+                  payload={"op": "WRITE", "id": "w\u00fc", "target": 0,
+                           "value": "\u00e9\"\\\n"}),
+            event(seq=1, time=0, kind="SEND", node=0, sender=0,
+                  receiver=1, payload=shared),
+            event(seq=2, time=1, kind="DELIVER", node=1, sender=0,
+                  receiver=1, payload=shared),
+            event(seq=3, time=1, kind="FINAL", node=1, sender=None,
+                  receiver=None,
+                  payload={"registers": [[None, 0], ["\U0001f600", 2]],
+                           "write_sn": 0, "read_sn": [0, 1]}),
         ]
         trace = Trace(scenario_name="caf\u00e9", n=2, t=0, seed=0,
                       scheduler="RANDOM", adversary=None, byzantine=(),
@@ -423,8 +429,9 @@ class TestChannelSemantics:
         assert tuple(keys) == EVENT_FIELDS
 
     def test_every_record_has_the_event_field_layout(self):
-        # SENDs are built apart from the other records, and jsonl writes
-        # the fields of EVENT_FIELDS only, so every kind must match it
+        # SENDs are built apart from the other records, and jsonl and the
+        # checker unpack records by position, so every kind must match
+        # EVENT_FIELDS, and lookup by name must give the same values
         cfg = small_scenario(
             adversary=AdversarySpec("EQUIVOCATE_WRITE", (3,), {}),
             workload=[WorkloadOp("w1", 0, "write", value="x", at=0),
@@ -434,7 +441,10 @@ class TestChannelSemantics:
         kinds = {e["kind"] for e in trace.events}
         assert kinds == {"OP_START", "SEND", "DELIVER", "RDELIVER", "OP_END",
                          "FINAL"}
-        assert all(tuple(e) == EVENT_FIELDS for e in trace.events)
+        for e in trace.events:
+            assert type(e) is Event
+            assert len(e) == len(EVENT_FIELDS)
+            assert all(e[name] is e[i] for i, name in enumerate(EVENT_FIELDS))
         lines = trace.jsonl().splitlines()[1:]
         assert all(tuple(json.loads(line)) == EVENT_FIELDS for line in lines)
 
