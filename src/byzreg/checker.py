@@ -8,7 +8,8 @@ and the trace's metadata (n, the Byzantine set, the outcome). The checker
 derives, per register, the sequence of values the correct processes
 applied when they r-delivered them (the register's history), its writes
 and its completed reads, resolves every completed read to a position in
-that history, and then decides:
+that history (position 0 is every register's initial value, None), and
+then decides:
 
 * per-writer agreement: all correct processes apply the same value at each
   position of each register;
@@ -276,10 +277,12 @@ def derive_histories(trace: Trace) -> History:
         if not op.completed():
             continue
         completed.append(op)
-        if not op.index or resolution.status == FAIL:
-            continue  # index 0 is the initial value; one FAIL is enough
+        if resolution.status == FAIL:
+            continue  # one FAIL is enough
         hist = values.get(op.target, [])
-        if op.index > len(hist) or hist[op.index - 1] != op.value:
+        # index 0 is the initial value, None, at every register
+        if op.index > len(hist) or (
+                hist[op.index - 1] if op.index else None) != op.value:
             resolution = Verdict(
                 "read-resolution", FAIL,
                 f"read {op.op_id} returned ({op.value!r}, {op.index}) which "

@@ -34,14 +34,14 @@ def bundled_scenario_names() -> list[str]:
                   for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def resolve_scenario(ref: str, validate: bool = True) -> ScenarioConfig:
+def resolve_scenario(ref: str) -> ScenarioConfig:
+    """Parse a scenario file or bundled scenario; validation is separate."""
     path = Path(ref)
     if path.exists():
-        return ScenarioConfig.load(path, validate=validate)
+        return ScenarioConfig.load(path)
     bundle = resources.files("byzreg").joinpath("scenarios", f"{ref}.json")
     if bundle.is_file():
-        return ScenarioConfig.from_dict(json.loads(bundle.read_text()),
-                                        validate=validate)
+        return ScenarioConfig.from_dict(json.loads(bundle.read_text()))
     raise ScenarioError(
         f"{ref!r} is neither a file nor a bundled scenario "
         f"(bundled: {', '.join(bundled_scenario_names())})")
@@ -64,17 +64,13 @@ def parse_seeds(args, default: int) -> list[int]:
 
 
 def load_with_overrides(args) -> ScenarioConfig:
-    """Resolve the scenario with CLI flag overrides applied before validation."""
-    return apply_overrides(resolve_scenario(args.scenario, validate=False), args)
-
-
-def apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    if getattr(args, "allow_t_violation", False):
+    """Resolve the scenario, apply the CLI flag overrides, then validate."""
+    cfg = resolve_scenario(args.scenario)
+    if args.allow_t_violation:
         cfg.allow_t_violation = True
-    if getattr(args, "expect_nonterminating", False):
+    if args.expect_nonterminating:
         cfg.expect_nonterminating = True
-    for name in getattr(args, "mutate", None) or []:
-        cfg.mutations = cfg.mutations | {name}
+    cfg.mutations |= frozenset(args.mutate or ())
     cfg.validate()
     return cfg
 
@@ -160,9 +156,10 @@ def cmd_sweep(args) -> int:
     for kind, totals in costs.items():
         if not totals:
             continue
+        median = statistics.median(totals)  # a float for an even count
         print(f"  {kind} sends/op: min={min(totals)} "
-              f"median={int(statistics.median(totals))} max={max(totals)} "
-              f"bound={bounds[kind]}")
+              f"median={int(median) if median % 1 == 0 else median} "
+              f"max={max(totals)} bound={bounds[kind]}")
     doc = {
         "scenario": cfg.name,
         "seeds": [seeds[0], seeds[-1]],
@@ -213,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "and trace checker")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeds=True):
+    def common(name, summary, func):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("scenario", help="scenario file or bundled name")
-        if seeds:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--seeds", help="seed range A:B (B exclusive)")
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="directory for traces and reports")
         p.add_argument("--allow-t-violation", action="store_true",
                        help="run even when n <= 3t")
@@ -225,19 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="a non-quiescent run is not a failure")
         p.add_argument("--mutate", action="append",
                        help="enable a protocol mutation (repeatable)")
-        p.add_argument("-v", "--verbose", action="store_true")
+        return p
 
-    p_run = sub.add_parser("run", help="run a scenario and check every property")
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run a seed range, aggregate verdicts")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_replay = sub.add_parser("replay", help="re-run one seed, print trace hash")
-    common(p_replay)
-    p_replay.set_defaults(func=cmd_replay)
+    seeds_help = "seed range A:B (B exclusive)"
+    p_run = common("run", "run a scenario and check every property", cmd_run)
+    p_run.add_argument("--seeds", help=seeds_help)
+    p_run.add_argument("-v", "--verbose", action="store_true")
+    common("sweep", "run a seed range, aggregate verdicts",
+           cmd_sweep).add_argument("--seeds", help=seeds_help)
+    common("replay", "re-run one seed, print trace hash", cmd_replay)
 
     p_list = sub.add_parser("list", help="list bundled scenarios")
     p_list.set_defaults(func=cmd_list)

@@ -203,10 +203,8 @@ class Simulation:
         if scenario.adversary is not None:
             self.strategy = build_strategy(scenario.adversary, self.n, self.t,
                                            scenario.seed)
-        init = scenario.init_values
         self.nodes: dict[int, RegisterNode] = {
-            pid: RegisterNode(pid, self.n, self.t, initial_values=init,
-                              mutations=scenario.mutations)
+            pid: RegisterNode(pid, self.n, self.t, mutations=scenario.mutations)
             for pid in range(self.n) if pid not in self.byzantine
         }
         # in flight: self.pool holds the messages in no particular order,
@@ -227,7 +225,6 @@ class Simulation:
         self._fifo = scenario.scheduler == "FIFO"
         self.time = 0
         self._seq = 0
-        self._next_mid = 0
         self.events: list[Event] = []
         self.halted = False
         self._op_state = {op.id: "waiting" for op in scenario.workload}
@@ -263,7 +260,7 @@ class Simulation:
         """Put a message in flight; returns its unique event id."""
         if self.halted:
             raise SimulationClosedError("cannot enqueue after the run halted")
-        mid = self._next_mid
+        mid = len(self._by_id)
         self._send(sender, (receiver,), payload)
         return mid
 
@@ -271,7 +268,8 @@ class Simulation:
         """Put payload in flight from sender to each receiver, in order.
 
         One SEND record per receiver, all sharing one payload dict, and
-        one message id each, issued in order.
+        one message id each, issued in order: a message's id is its index
+        in _by_id.
         """
         n = self.n
         if not 0 <= sender < n:
@@ -282,11 +280,11 @@ class Simulation:
         byzantine = self.byzantine
         sender_byz = sender in byzantine
         rank = self.strategy.delivery_rank if self._reorder else None
-        seq, mid = self._seq, self._next_mid
+        seq, mid = self._seq, len(by_id)
         new = tuple.__new__
         for receiver in receivers:
             if not 0 <= receiver < n:
-                self._seq, self._next_mid = seq, mid
+                self._seq = seq
                 raise ValueError("sender/receiver out of range")
             # fields in EVENT_FIELDS order, as in _record
             events.append(new(Event, (seq, time, "SEND", sender, sender,
@@ -309,7 +307,7 @@ class Simulation:
             if rank is not None:
                 heapq.heappush(self._ranked, (rank(msg), mid))
             mid += 1
-        self._seq, self._next_mid = seq, mid
+        self._seq = seq
 
     def _take(self, msg: PendingMessage) -> None:
         """Take an in-flight message out of flight."""

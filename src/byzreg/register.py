@@ -86,7 +86,6 @@ class RegisterNode:
     """
 
     def __init__(self, node_id: int, n: int, t: int, *,
-                 initial_values=None,
                  mutations: frozenset[str] = frozenset()):
         self.node_id = node_id
         self.n = n
@@ -97,9 +96,7 @@ class RegisterNode:
         self.read_quorum = n - t
         if READ_QUORUM_MINUS_ONE in self.mutations:
             self.read_quorum -= 1
-        if initial_values is None:
-            initial_values = [None] * n
-        self.registers = [RegEntry(initial_values[j], 0) for j in range(n)]
+        self.registers = [RegEntry(None, 0) for _ in range(n)]
         self.write_sn = 0
         self.read_sn = [0] * n
         self.pending_write: PendingWrite | None = None

@@ -52,7 +52,6 @@ class ScenarioConfig:
     adversary: AdversarySpec | None = None
     fairness_bound: int = DEFAULT_FAIRNESS_BOUND
     step_budget: int = DEFAULT_STEP_BUDGET
-    init_values: list | None = None
     mutations: frozenset[str] = frozenset()
     allow_t_violation: bool = False
     expect_nonterminating: bool = False
@@ -65,6 +64,12 @@ class ScenarioConfig:
         return 4 * self.n
 
     def validate(self) -> None:
+        # the name is the stem of the artifact files the CLI writes
+        name = self.name
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ScenarioError(
+                f"name {name!r} must be a file name: not empty, "
+                "'.' or '..', and without '/', '\\' or a null character")
         if self.n < 1:
             raise ScenarioError("n must be positive")
         if self.t < 0:
@@ -80,8 +85,6 @@ class ScenarioConfig:
             raise ScenarioError("fairness_bound must be at least 1")
         if self.step_budget < 1:
             raise ScenarioError("step_budget must be at least 1")
-        if self.init_values is not None and len(self.init_values) != self.n:
-            raise ScenarioError("init_values must list one value per process")
         unknown = sorted(set(self.mutations) - set(ALL_MUTATIONS))
         if unknown:
             raise ScenarioError(f"unknown mutations {unknown}; "
@@ -168,8 +171,6 @@ class ScenarioConfig:
             doc["adversary"] = {"name": self.adversary.name,
                                 "nodes": list(self.adversary.nodes),
                                 "params": dict(self.adversary.params)}
-        if self.init_values is not None:
-            doc["init_values"] = self.init_values
         if self.mutations:
             doc["mutations"] = sorted(self.mutations)
         if self.allow_t_violation:
@@ -179,16 +180,14 @@ class ScenarioConfig:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict, validate: bool = True) -> "ScenarioConfig":
+    def from_dict(cls, doc: dict) -> "ScenarioConfig":
+        """Parse a scenario document; validate() checks the values."""
         if not isinstance(doc, dict):
             raise ScenarioError("scenario document must be a JSON object")
         for req in ("name", "n", "t"):
             if req not in doc:
                 raise ScenarioError(f"scenario is missing required field {req!r}")
-        known = {"name", "n", "t", "seed", "scheduler", "workload", "adversary",
-                 "fairness_bound", "step_budget", "init_values", "mutations",
-                 "allow_t_violation", "expect_nonterminating"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         workload = []
@@ -220,14 +219,10 @@ class ScenarioConfig:
                 nodes=tuple(_int(p, "adversary node") for p in nodes),
                 params=dict(_typed(raw.get("params", {}), dict,
                                    "adversary 'params'")))
-        init_values = doc.get("init_values")
-        if init_values is not None:
-            for value in _typed(init_values, list, "init_values"):
-                _scalar(value, "init_values entry")
         mutations = [_typed(m, str, "mutation name")
                      for m in _typed(doc.get("mutations", []), list, "mutations")]
-        cfg = cls(
-            name=str(doc["name"]), n=_int(doc["n"], "n"), t=_int(doc["t"], "t"),
+        return cls(
+            name=_typed(doc["name"], str, "name"), n=_int(doc["n"], "n"), t=_int(doc["t"], "t"),
             seed=_int(doc.get("seed", 0), "seed"),
             scheduler=str(doc.get("scheduler", "RANDOM")),
             workload=workload, adversary=adversary,
@@ -235,18 +230,14 @@ class ScenarioConfig:
                                 "fairness_bound"),
             step_budget=_int(doc.get("step_budget", DEFAULT_STEP_BUDGET),
                              "step_budget"),
-            init_values=init_values,
             mutations=frozenset(mutations),
             allow_t_violation=_typed(doc.get("allow_t_violation", False), bool,
                                      "allow_t_violation"),
             expect_nonterminating=_typed(doc.get("expect_nonterminating", False),
                                          bool, "expect_nonterminating"))
-        if validate:
-            cfg.validate()
-        return cfg
 
     @classmethod
-    def load(cls, path: str | Path, validate: bool = True) -> "ScenarioConfig":
+    def load(cls, path: str | Path) -> "ScenarioConfig":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
@@ -258,7 +249,7 @@ class ScenarioConfig:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, "
                                 f"column {exc.colno}: {exc.msg}") from exc
         try:
-            return cls.from_dict(doc, validate=validate)
+            return cls.from_dict(doc)
         except ScenarioError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
 

@@ -108,6 +108,19 @@ class TestDeriveHistories:
         fails = [v for v in hist.derivation_verdicts if v.status == FAIL]
         assert fails and fails[0].prop == "read-resolution"
 
+    @pytest.mark.parametrize("applied", [(), ("ghost",)],
+                             ids=["no-writes", "after-a-write"])
+    def test_initial_read_of_a_value_other_than_null_fails(self, applied):
+        # every register starts at (None, 0), so a read of index 0 must
+        # return None whatever was written later
+        events = [rdeliver(node, 0, value, sn)
+                  for sn, value in enumerate(applied, 1) for node in (0, 1, 2)]
+        events += [op_start(1, "READ", "r1", 0),
+                   op_end(1, "READ", "r1", 0, "ghost", 0)]
+        report = run_all_checks(make_trace(events))
+        fails = {v.prop: v for v in report.verdicts if v.status == FAIL}
+        assert "returned ('ghost', 0)" in fails["read-resolution"].detail
+
     def test_gap_in_applies_ends_the_history(self):
         # a stored trace may skip a position the simulator never would
         events = [rdeliver(0, 3, "v2", 2), rdeliver(0, 3, "v3", 3),

@@ -6,7 +6,7 @@ import pytest
 
 from byzreg.cli import bundled_scenario_names, main, resolve_scenario
 from byzreg.errors import ScenarioError
-from byzreg.scenario import ScenarioConfig
+from byzreg.scenario import ScenarioConfig, matrix_scenario
 
 
 def test_list_shows_bundled_scenarios(capsys):
@@ -20,6 +20,7 @@ def test_bundled_names_resolve():
     for name in bundled_scenario_names():
         cfg = resolve_scenario(name)
         assert cfg.name == name
+        cfg.validate()
 
 
 def test_run_fault_free_scenario_exits_zero(tmp_path, capsys):
@@ -55,6 +56,19 @@ def test_invalid_json_names_the_line(tmp_path, capsys):
 def test_empty_seed_range_is_rejected(capsys, command, seeds):
     assert main([command, "abd-style-fault-free", "--seeds", seeds]) == 2
     assert f"--seeds {seeds} is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", "abd-style-fault-free", "--seeds", "3:5"],
+    ["replay", "abd-style-fault-free", "-v"],
+    ["sweep", "abd-style-fault-free", "-v"],
+], ids=["replay-seeds", "replay-verbose", "sweep-verbose"])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[2:])}" in (
+        capsys.readouterr().err)
 
 
 def test_unknown_scenario_lists_bundled(capsys):
@@ -95,6 +109,18 @@ def test_sweep_prints_cost_table(capsys):
     out = capsys.readouterr().out
     assert "READ sends/op: min=16 median=16 max=16 bound=16" in out
     assert "WRITE sends/op: min=40 median=40 max=40 bound=40" in out
+
+
+def test_sweep_prints_the_exact_median(tmp_path, capsys):
+    # the six writes of seeds 3 and 4 cost 105, 105, 105, 112, 112 and 112
+    path = tmp_path / "n7.json"
+    path.write_text(json.dumps(matrix_scenario(7, None).to_dict()))
+    assert main(["sweep", str(path), "--seeds", "3:5",
+                 "--out", str(tmp_path)]) == 0
+    assert "WRITE sends/op: min=105 median=108.5 max=112" in (
+        capsys.readouterr().out)
+    doc = json.loads((tmp_path / "matrix-n7-fault-free-sweep.json").read_text())
+    assert doc["costs"]["WRITE"]["median"] == 108.5
 
 
 def test_sweep_tallies_run_outcomes(tmp_path, capsys):
@@ -197,6 +223,14 @@ def test_unreadable_scenario_paths_are_scenario_errors(tmp_path, capsys, make,
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
+def test_scenario_name_cannot_leave_the_output_directory(tmp_path, capsys):
+    path = tmp_path / "evil.json"
+    path.write_text(json.dumps(small_doc(name="../escaped")))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "name '../escaped' must be a file name" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_known_mutation_in_scenario_is_accepted(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(small_doc(mutations=["NO_CATCH_UP"])))
@@ -224,17 +258,17 @@ def with_entry_field(i, field, value):
     (with_entry_field(0, "value", [1, 2]),
      "workload entry #0 value must be a JSON string, number, boolean or "
      "null, got [1, 2]"),
-    (small_doc(init_values=["a", {"b": 1}, "c", "d"]),
-     "init_values entry must be a JSON string, number, boolean or null, "
-     "got {'b': 1}"),
+    (small_doc(init_values=["a", "b", "c", "d"]),
+     "unknown scenario fields: ['init_values']"),
+    (small_doc(name=["a"]), "name must be a JSON string, got ['a']"),
+    *[(small_doc(name=name), f"name {name!r} must be a file name")
+      for name in ("", ".", "..", "../escaped", "a/b", "a\\b", "a\0b")],
     (with_entry_field(0, "id", 1),
      "workload entry #0 id must be a JSON string, got 1"),
     (with_entry_field(1, "after", 1),
      "workload entry #1 after must be a JSON string, got 1"),
     (with_entry_field(0, "value", float("nan")),
      "workload entry #0 value must be a finite number, got nan"),
-    (small_doc(init_values=["a", float("inf"), "c", "d"]),
-     "init_values entry must be a finite number, got inf"),
     (with_params("STALE_STATE", report="abc"),
      "adversary STALE_STATE param 'report' must be an integer, got 'abc'"),
     (with_params("COLLUDE_DELAY", favored="zz"),
@@ -253,13 +287,15 @@ def with_entry_field(i, field, value):
     (with_params("STALE_STATE", mode="inflate"),
      "adversary STALE_STATE param 'mode' must be one of ['deflate'], "
      "got 'inflate'"),
-], ids=["n", "target", "at", "entry", "nodes", "flag", "value", "init-value",
-        "id", "after", "nan-value", "infinite-init-value", "param-type",
+], ids=["n", "target", "at", "entry", "nodes", "flag", "value", "init-values",
+        "name-type", "name-empty", "name-dot", "name-dotdot", "name-parent",
+        "name-slash", "name-backslash", "name-null",
+        "id", "after", "nan-value", "param-type",
         "param-process-type", "param-process-range", "param-flag",
         "param-key", "param-none-expected", "param-mode"])
 def test_malformed_field_types_are_scenario_errors(tmp_path, capsys, doc,
                                                    message):
     with pytest.raises(ScenarioError, match=re.escape(message)):
-        ScenarioConfig.from_dict(doc)
+        ScenarioConfig.from_dict(doc).validate()
     assert run_doc(tmp_path, doc) == 2
     assert message in capsys.readouterr().err

@@ -132,15 +132,6 @@ class TestLifecycle:
         assert trace.outcome == "QUIESCENT"
         assert any(e["kind"] == "OP_END" for e in trace.events)
 
-    def test_configured_initial_values_are_readable(self):
-        cfg = small_scenario(
-            init_values=["i0", "i1", "i2", "i3"],
-            workload=[WorkloadOp("r1", 1, "read", target=2, at=0)])
-        trace = Simulation(cfg).run()
-        end = [e for e in trace.events if e["kind"] == "OP_END"][0]
-        assert end["payload"]["value"] == "i2"
-        assert end["payload"]["sn"] == 0
-
     def test_wedged_run_reports_stuck_guards(self):
         # the freshness guard can never pass: nobody ever writes register 3
         # and the crashed node never answers, so three reports <= 0 exist,
@@ -209,7 +200,6 @@ class TestInFlightPool:
         assert sorted(m.id for m in pool) == [
             mid for mid, m in enumerate(by_id) if m is not None]
         assert all(m is None or m.id == mid for mid, m in enumerate(by_id))
-        assert len(by_id) == sim._next_mid
         assert all(m is None for m in by_id[:sim._low])
 
     def test_oldest_after_out_of_order_removals(self):
@@ -257,8 +247,8 @@ class TestInFlightPool:
         for step in "+0 +1 +2 -0 +5 -1 +6 +9 -6 -2 +10 +11 -11 -5 -10".split():
             mid = int(step[1:])
             if step[0] == "+":
-                while sim._next_mid < mid:
-                    sim.enqueue(0, 3, WriteDone(sim._next_mid))
+                while len(sim._by_id) < mid:
+                    sim.enqueue(0, 3, WriteDone(len(sim._by_id)))
                 assert sim.enqueue(0, 1, WriteDone(mid)) == mid
                 live.add(mid)
             else:
@@ -297,7 +287,7 @@ class TestInFlightPool:
         assert sim.pool == []
         # every message sent was delivered or set aside
         assert sim._aside > 0
-        assert sim._next_mid == sim.time + sim._aside
+        assert len(sim._by_id) == sim.time + sim._aside
 
 
 class TestFairness:
@@ -376,7 +366,6 @@ class TestScenarioRoundTrip:
             scheduler="ADVERSARIAL_REORDER",
             adversary=AdversarySpec("COLLUDE_DELAY", (3,),
                                     {"favored": 1, "victim": 2}),
-            init_values=["a", "b", "c", "d"],
             mutations=frozenset({"NO_CATCH_UP"}))
         clone = ScenarioConfig.from_dict(cfg.to_dict())
         assert clone == cfg
@@ -457,7 +446,6 @@ def final_state_cases():
     for n in (4, 7):
         for strategy in (None, *sorted(STRATEGIES)):
             yield matrix_scenario(n, strategy, 0)
-    yield small_scenario(init_values=["i0", "i1", "i2", "i3"])
 
 
 @pytest.fixture(scope="module")
@@ -465,10 +453,9 @@ def final_state_runs():
     return [(cfg, Simulation(cfg).run()) for cfg in final_state_cases()]
 
 
-def rebuilt_state(trace, init_values, pid):
+def rebuilt_state(trace, pid):
     """A correct node's end state, rebuilt from its own trace records."""
-    init = init_values if init_values is not None else [None] * trace.n
-    registers = [[init[j], 0] for j in range(trace.n)]
+    registers = [[None, 0] for _ in range(trace.n)]
     write_sn, read_sn = 0, [0] * trace.n
     for e in trace.events:
         if e["node"] != pid:
@@ -494,7 +481,7 @@ class TestFinalRecords:
             finals = {e["node"]: e["payload"] for e in trace.events
                       if e["kind"] == "FINAL"}
             for pid in trace.correct_nodes():
-                want = rebuilt_state(trace, cfg.init_values, pid)
+                want = rebuilt_state(trace, pid)
                 assert finals[pid] == want, (cfg.name, cfg.seed, pid)
 
     def test_final_records_close_the_trace_in_pid_order(self,
