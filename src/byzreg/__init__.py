@@ -12,8 +12,7 @@ The package has three layers:
 """
 from .checker import (CheckReport, Verdict, check_rb, check_safety,
                       check_termination, build_linearization, count_messages,
-                      derive_histories, min_quorum_intersection,
-                      quorum_intersection_holds, run_all_checks)
+                      derive_histories, run_all_checks)
 from .errors import (ProtocolMisuseError, ScenarioError, SimulationClosedError,
                      TraceError)
 from .netsim import Simulation, Trace
@@ -28,5 +27,5 @@ __all__ = [
     "SimulationClosedError", "Trace", "TraceError", "Verdict", "WorkloadOp",
     "build_linearization", "check_rb", "check_safety", "check_termination",
     "count_messages", "derive_histories", "matrix_scenario", "max_tolerated",
-    "min_quorum_intersection", "quorum_intersection_holds", "run_all_checks",
+    "run_all_checks",
 ]

@@ -10,6 +10,13 @@ the fairness bound forces an older one. A rank may reorder messages but
 never alter them. A strategy cannot forge another process's sender
 identity; the simulator stamps senders itself.
 
+The hooks ``on_workload`` and ``on_deliver`` return the send effects of a
+correct node, ``Send`` and ``Broadcast`` (to processes 0..n-1 in pid
+order); a faulty node's r-deliveries and completions never reach the
+trace. One hook call sends at most ``ScenarioConfig.send_cap()`` messages,
+a ``Broadcast`` counting n; one that crosses the cap reaches processes
+0..k-1 only, k being the room left, and the simulator drops the rest.
+
 Every strategy is a deterministic function of (scenario seed, inputs), so
 runs containing Byzantine nodes replay byte-identically. Each declares the
 params it reads in ``PARAMS``; ``check_params`` rejects any other key and
@@ -50,10 +57,12 @@ class AdversaryStrategy:
     # delivery uniformly random.
     delivery_rank = None
 
-    def on_workload(self, pid: int, entry: WorkloadOp) -> list[Send]:
+    def on_workload(self, pid: int,
+                    entry: WorkloadOp) -> list[Send | Broadcast]:
         return []
 
-    def on_deliver(self, pid: int, sender: int, payload: Message) -> list[Send]:
+    def on_deliver(self, pid: int, sender: int,
+                   payload: Message) -> list[Send | Broadcast]:
         return []
 
 
@@ -126,8 +135,7 @@ class SeqSkip(AdversaryStrategy):
         if entry.op != "write":
             return []
         self.sn[pid] += 2  # always leaves a gap
-        return [Send(dest, App(entry.value, self.sn[pid]))
-                for dest in range(self.n)]
+        return [Broadcast(App(entry.value, self.sn[pid]))]
 
 
 class StaleState(AdversaryStrategy):
@@ -230,27 +238,18 @@ class ColludeDelay(AdversaryStrategy):
         self.victim = params.get("victim")
         self.inner = {pid: RegisterNode(pid, n, t) for pid in nodes}
 
-    def _sends_only(self, effects) -> list[Send]:
-        """The node's sends, a Broadcast expanded to one Send per process."""
-        sends = []
-        for eff in effects:
-            if type(eff) is Broadcast:
-                sends.extend(Send(dest, eff.payload) for dest in range(self.n))
-            elif type(eff) is Send:
-                sends.append(eff)
-        return sends
+    # only the inner node's sends leave it: its r-deliveries and
+    # completions stay invisible
 
     def on_workload(self, pid, entry):
         node = self.inner[pid]
-        if entry.op == "write":
-            return self._sends_only(node.begin_write(entry.value))
-        return self._sends_only(node.begin_read(entry.target))
+        effects = (node.begin_write(entry.value) if entry.op == "write"
+                   else node.begin_read(entry.target))
+        return [e for e in effects if isinstance(e, (Send, Broadcast))]
 
     def on_deliver(self, pid, sender, payload):
-        # deliveries and completions inside a faulty node stay invisible;
-        # only its sends reach the network
-        effects = self.inner[pid].handle(sender, payload)
-        return self._sends_only(effects)
+        return [e for e in self.inner[pid].handle(sender, payload)
+                if isinstance(e, (Send, Broadcast))]
 
     def delivery_rank(self, msg) -> int:
         tag = msg.payload.tag

@@ -583,17 +583,6 @@ def validate_linearization(sequence: list[LinItem]) -> tuple[bool, str]:
     return True, ""
 
 
-def brute_force_linearizable(items: list[LinItem]) -> bool:
-    """Try every total order; for cross-checking small traces only."""
-    init = [i for i in items if i.label == "init"]
-    rest = [i for i in items if i.label != "init"]
-    for perm in itertools.permutations(rest):
-        ok, _ = validate_linearization(init + list(perm))
-        if ok:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # message-cost accounting
 # ---------------------------------------------------------------------------
@@ -635,31 +624,6 @@ def count_messages(history: History, trace: Trace) -> CostReport:
     return CostReport(per_op={op.op_id: op for op in history.ops},
                       unattributed=history.unattributed,
                       verdict=verdict)
-
-
-# ---------------------------------------------------------------------------
-# quorum arithmetic
-# ---------------------------------------------------------------------------
-
-def min_quorum_intersection(n: int, t: int) -> int:
-    """Smallest possible overlap of two (n-t)-subsets of n processes."""
-    return max(0, 2 * (n - t) - n)
-
-
-def min_quorum_intersection_enumerated(n: int, t: int) -> int:
-    """Brute-force oracle for the formula above; usable for small n only."""
-    universe = range(n)
-    best = n
-    for q1 in itertools.combinations(universe, n - t):
-        s1 = set(q1)
-        for q2 in itertools.combinations(universe, n - t):
-            best = min(best, len(s1.intersection(q2)))
-    return best
-
-
-def quorum_intersection_holds(n: int, t: int) -> bool:
-    """Any two (n-t)-quorums share at least t+1 processes."""
-    return min_quorum_intersection(n, t) >= t + 1
 
 
 # ---------------------------------------------------------------------------

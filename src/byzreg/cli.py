@@ -16,7 +16,9 @@ scenario (see ``byzreg list``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import statistics
 import sys
 from importlib import resources
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(name, summary, func):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("scenario", help="scenario file or bundled name")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="directory for traces and reports")
@@ -233,18 +235,30 @@ def build_parser() -> argparse.ArgumentParser:
     common("replay", "re-run one seed, print trace hash", cmd_replay)
 
     p_list = sub.add_parser("list", help="list bundled scenarios")
-    p_list.set_defaults(func=cmd_list)
+    p_list.set_defaults(func=cmd_list, parser=p_list)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args, extra = build_parser().parse_known_args(argv)
+            if extra:  # exits 2, with the subcommand's usage
+                args.parser.error(
+                    f"unrecognized arguments: {' '.join(extra)}")
+            return args.func(args)
+        finally:  # also after --help: a closed pipe shows here, not at exit
+            sys.stdout.flush()
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (byzreg list | head -1): stop quietly,
+        # with stdout on devnull so the flush at shutdown cannot fail
+        with contextlib.suppress(OSError, ValueError):  # no descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
 
 
 if __name__ == "__main__":

@@ -48,6 +48,14 @@ A record's payload dict is shared: a message's SEND and DELIVER records,
 and the SENDs of one message object to many receivers, all hold the same
 dict. Treat payloads as read-only.
 
+A delivery is one call of the receiver's handler: a correct node's
+``handle``, or the strategy's ``on_deliver`` for a faulty pid. One loop
+applies the effects every hook returns. Strategies return only ``Send``
+and ``Broadcast``, so a faulty node's r-deliveries and completions never
+reach the trace, and one faulty hook call sends at most ``send_cap()``
+messages: a ``Broadcast`` counts n, and one that crosses the cap goes to
+processes 0..k-1 only, k being the room left.
+
 Sends are batched: a node's ``Broadcast`` effect becomes one call that
 puts the message in flight to processes 0..n-1 in pid order, encoding the
 payload once, appending one SEND record per receiver and keeping the
@@ -64,7 +72,9 @@ import hashlib
 import heapq
 import json
 import random
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .adversary import AdversaryStrategy, build_strategy
 from .errors import SimulationClosedError
@@ -207,6 +217,12 @@ class Simulation:
             pid: RegisterNode(pid, self.n, self.t, mutations=scenario.mutations)
             for pid in range(self.n) if pid not in self.byzantine
         }
+        # per pid, the delivery handler and the sends one hook call may make
+        self._handlers = [self.nodes[pid].handle if pid in self.nodes
+                          else partial(self.strategy.on_deliver, pid)
+                          for pid in range(self.n)]
+        self._room = [sys.maxsize if pid in self.nodes
+                      else scenario.send_cap() for pid in range(self.n)]
         # in flight: self.pool holds the messages in no particular order,
         # each knowing its own index (pos), so a uniform draw is one index
         # and _take swaps the last entry into the hole; _by_id[mid] is
@@ -256,14 +272,6 @@ class Simulation:
 
     # -- network interface ----------------------------------------------------
 
-    def enqueue(self, sender: int, receiver: int, payload: Message) -> int:
-        """Put a message in flight; returns its unique event id."""
-        if self.halted:
-            raise SimulationClosedError("cannot enqueue after the run halted")
-        mid = len(self._by_id)
-        self._send(sender, (receiver,), payload)
-        return mid
-
     def _send(self, sender: int, receivers, payload: Message) -> None:
         """Put payload in flight from sender to each receiver, in order.
 
@@ -272,8 +280,6 @@ class Simulation:
         in _by_id.
         """
         n = self.n
-        if not 0 <= sender < n:
-            raise ValueError("sender/receiver out of range")
         wire = payload.to_wire()
         events, time = self.events, self.time
         pool, by_id = self.pool, self._by_id
@@ -285,7 +291,7 @@ class Simulation:
         for receiver in receivers:
             if not 0 <= receiver < n:
                 self._seq = seq
-                raise ValueError("sender/receiver out of range")
+                raise ValueError(f"receiver {receiver} out of range")
             # fields in EVENT_FIELDS order, as in _record
             events.append(new(Event, (seq, time, "SEND", sender, sender,
                                       receiver, wire)))
@@ -376,12 +382,17 @@ class Simulation:
     # -- node effects -----------------------------------------------------------
 
     def _process_effects(self, pid: int, effects) -> None:
+        room = self._room[pid]  # see the send cap in the module docstring
         for eff in effects:
             kind = type(eff)
             if kind is Broadcast:
-                self._send(pid, range(self.n), eff.payload)
+                k = self.n if room >= self.n else room
+                room -= k
+                self._send(pid, range(k), eff.payload)
             elif kind is Send:
-                self._send(pid, (eff.dest,), eff.payload)
+                if room:
+                    room -= 1
+                    self._send(pid, (eff.dest,), eff.payload)
             elif kind is RDeliver:
                 self._record("RDELIVER", pid, eff.origin, pid,
                              {"origin": eff.origin, "value": eff.value,
@@ -401,10 +412,6 @@ class Simulation:
         self._record("OP_END", pid, pid, None,
                      {"op": eff.kind.upper(), "id": entry.id,
                       "target": eff.target, "value": eff.value, "sn": eff.sn})
-
-    def _byz_sends(self, pid: int, sends: list[Send]) -> None:
-        for send in sends[:self.scenario.send_cap()]:
-            self._send(pid, (send.dest,), send.payload)
 
     # -- workload -----------------------------------------------------------------
 
@@ -450,9 +457,8 @@ class Simulation:
                 if pid in self.byzantine:
                     # handed to the strategy; completion is not observable
                     self._mark_done(entry)
-                    if self.strategy is not None:
-                        self._byz_sends(pid, self.strategy.on_workload(
-                            pid, entry))
+                    self._process_effects(
+                        pid, self.strategy.on_workload(pid, entry))
                     continue
                 if pid in self._running:
                     # retried once the running op completes
@@ -494,14 +500,9 @@ class Simulation:
         self.time += 1
         sender, receiver, payload = msg.sender, msg.receiver, msg.payload
         event = self._record("DELIVER", receiver, sender, receiver, msg.wire)
-        node = self.nodes.get(receiver)
-        if node is not None:
-            effects = node.handle(sender, payload)
-            if effects:  # most deliveries change nothing visible
-                self._process_effects(receiver, effects)
-        elif self.strategy is not None:  # a Byzantine receiver
-            self._byz_sends(receiver,
-                            self.strategy.on_deliver(receiver, sender, payload))
+        effects = self._handlers[receiver](sender, payload)
+        if effects:  # most deliveries change nothing visible
+            self._process_effects(receiver, effects)
         return event
 
     def run(self) -> Trace:

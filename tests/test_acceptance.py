@@ -12,11 +12,9 @@ import random
 import pytest
 
 from byzreg.adversary import STRATEGIES
-from byzreg.checker import (FAIL, PASS, VACUOUS, brute_force_linearizable,
-                            count_messages, derive_histories,
-                            min_quorum_intersection,
-                            min_quorum_intersection_enumerated,
-                            run_all_checks, validate_linearization)
+from byzreg.checker import (FAIL, PASS, VACUOUS, count_messages,
+                            derive_histories, run_all_checks,
+                            validate_linearization)
 from byzreg.cli import bundled_scenario_names, resolve_scenario
 from byzreg.mutations import (ALL_MUTATIONS, ECHO_THRESHOLD_NONSTRICT,
                               NO_CATCH_UP, NO_FRESHNESS,
@@ -24,6 +22,8 @@ from byzreg.mutations import (ALL_MUTATIONS, ECHO_THRESHOLD_NONSTRICT,
 from byzreg.netsim import Simulation
 from byzreg.scenario import (ScenarioConfig, WorkloadOp, matrix_scenario,
                              max_tolerated)
+from helpers import (brute_force_linearizable, min_quorum_intersection,
+                     min_quorum_intersection_enumerated)
 
 SIZES = (4, 7, 10)
 SEEDS_PER_CELL = 200

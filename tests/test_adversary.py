@@ -5,7 +5,7 @@ from byzreg.adversary import STRATEGIES, ReadyPoison
 from byzreg.checker import run_all_checks
 from byzreg.netsim import Simulation
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
-                             matrix_scenario)
+                             matrix_scenario, standard_workload)
 
 SEEDS = range(8)
 
@@ -28,6 +28,36 @@ def test_safety_holds_under_every_strategy(strategy):
         trace, report = run_checked(cfg, seed)
         assert report.ok(), (strategy, seed, report.failures())
         assert trace.quiescent(), (strategy, seed, trace.outcome)
+
+
+@pytest.mark.parametrize("n,t", [(3, 1), (6, 2)])
+def test_at_n_equal_3t_safety_holds_and_only_liveness_is_lost(n, t):
+    """The safe side of the t < n/3 bound.
+
+    With n = 3t, the standard workload with the last t processes faulty,
+    each strategy at its default params, never FAILs. Fault-free runs stay
+    live, COLLUDE_DELAY's honest nodes keep them live too, and every other
+    strategy leaves an operation waiting for a quorum that only the faulty
+    processes could complete.
+    """
+    byz = frozenset(range(n - t, n))
+    for strategy in (None, *sorted(STRATEGIES)):
+        collude = strategy == "COLLUDE_DELAY"
+        cfg = ScenarioConfig(
+            name=f"n{n}-t{t}-{strategy}", n=n, t=t,
+            scheduler="ADVERSARIAL_REORDER" if collude else "RANDOM",
+            workload=standard_workload(
+                n, byz if strategy else frozenset(),
+                byz_writes=strategy in ("EQUIVOCATE_WRITE", "SEQ_SKIP")),
+            adversary=strategy and AdversarySpec(strategy,
+                                                 tuple(sorted(byz))),
+            fairness_bound=200, step_budget=100_000, allow_t_violation=True)
+        expected = ("QUIESCENT" if strategy is None
+                    else "SETTLED" if collude else "STUCK")
+        for seed in range(10):
+            trace, report = run_checked(cfg, seed)
+            assert not report.failures(), (strategy, seed, report.failures())
+            assert trace.outcome == expected, (strategy, seed, trace.outcome)
 
 
 class TestEquivocate:

@@ -10,18 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from byzreg.checker import (FAIL, PASS, VACUOUS, History, LinItem,
-                            OperationRecord, Verdict,
-                            brute_force_linearizable,
-                            build_linearization, check_rb, check_safety,
-                            check_termination, count_messages,
-                            derive_histories, min_quorum_intersection,
-                            min_quorum_intersection_enumerated,
-                            quorum_intersection_holds, run_all_checks,
+                            OperationRecord, Verdict, build_linearization,
+                            check_rb, check_safety, check_termination,
+                            count_messages, derive_histories, run_all_checks,
                             validate_linearization)
 from byzreg.cli import resolve_scenario
 from byzreg.errors import TraceError
 from byzreg.netsim import Simulation, Trace
 from byzreg.scenario import ScenarioConfig, WorkloadOp, matrix_scenario
+from helpers import (brute_force_linearizable, min_quorum_intersection,
+                     min_quorum_intersection_enumerated,
+                     quorum_intersection_holds)
 from test_golden_traces import cases as golden_cases
 from test_netsim import event
 

@@ -1,4 +1,6 @@
 """End-to-end tests of the command-line front door."""
+import contextlib
+import io
 import json
 import re
 
@@ -67,8 +69,41 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[2:])}" in (
-        capsys.readouterr().err)
+    err = capsys.readouterr().err
+    # the usage shown is the subcommand's, which lists the flags it takes
+    assert err.startswith(f"usage: byzreg {argv[0]} ")
+    assert (f"byzreg {argv[0]}: error: unrecognized arguments: "
+            f"{' '.join(argv[2:])}") in err
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as at the end of `| head -1`.
+
+    An unbuffered stdout fails at the first write, a buffered one only
+    when it is flushed.
+    """
+
+    def __init__(self, fails_at):
+        super().__init__()
+        self.fails_at = fails_at
+
+    def write(self, text):
+        if self.fails_at == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.fails_at == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+# argparse itself ignores a failed write of --help, so that case has no test
+@pytest.mark.parametrize("argv,fails_at", [
+    (["list"], "write"), (["list"], "flush"), (["--help"], "flush")])
+def test_closed_stdout_ends_the_command_quietly(capsys, argv, fails_at):
+    with contextlib.redirect_stdout(ClosedStdout(fails_at)):
+        assert main(argv) == 1
+    assert capsys.readouterr() == ("", "")
 
 
 def test_unknown_scenario_lists_bundled(capsys):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from byzreg.adversary import STRATEGIES, ReadyPoison
+from byzreg.adversary import STRATEGIES, AckForge, ReadyPoison
 from byzreg.checker import run_all_checks
 from byzreg.cli import bundled_scenario_names, resolve_scenario
 from byzreg.errors import ScenarioError, SimulationClosedError
@@ -14,6 +14,7 @@ from byzreg.netsim import EVENT_FIELDS, Event, Simulation, Trace
 from byzreg.rbcast import Broadcast, Send
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
                              matrix_scenario)
+from helpers import enqueue
 from test_golden_traces import reference_jsonl
 
 
@@ -59,33 +60,27 @@ class TestEnqueue:
     def test_self_send_is_delivered(self):
         cfg = small_scenario(workload=[])
         sim = Simulation(cfg)
-        sim.enqueue(2, 2, WriteDone(9))
+        enqueue(sim, 2, 2, WriteDone(9))
         event = sim.step()
         assert event["kind"] == "DELIVER"
         assert event["sender"] == 2 and event["receiver"] == 2
 
     def test_identical_payloads_get_distinct_ids(self):
         sim = Simulation(small_scenario(workload=[]))
-        a = sim.enqueue(0, 1, WriteDone(1))
-        b = sim.enqueue(0, 1, WriteDone(1))
+        a = enqueue(sim, 0, 1, WriteDone(1))
+        b = enqueue(sim, 0, 1, WriteDone(1))
         assert a != b
-
-    def test_enqueue_after_halt_rejected(self):
-        sim = Simulation(small_scenario(workload=[]))
-        sim.run()
-        with pytest.raises(SimulationClosedError):
-            sim.enqueue(0, 1, WriteDone(1))
 
     def test_out_of_range_receiver_rejected_before_recording(self):
         sim = Simulation(small_scenario(workload=[]))
         with pytest.raises(ValueError):
-            sim.enqueue(0, 4, WriteDone(1))
+            enqueue(sim, 0, 4, WriteDone(1))
         assert sim.events == [] and len(sim.pool) == 0
-        assert sim.enqueue(0, 1, WriteDone(1)) == 0
+        assert enqueue(sim, 0, 1, WriteDone(1)) == 0
 
     def test_broadcast_sends_to_every_process_in_pid_order(self):
         sim = Simulation(small_scenario(workload=[]))
-        sim.enqueue(0, 1, WriteDone(1))
+        enqueue(sim, 0, 1, WriteDone(1))
         sim._process_effects(2, [Broadcast(Echo(1, "x", 1))])
         sends = sim.events[1:]
         assert [e["receiver"] for e in sends] == [0, 1, 2, 3]
@@ -183,7 +178,7 @@ class TestInFlightPool:
         """A FIFO run with one message from p0 in flight per receiver."""
         sim = Simulation(small_scenario(workload=[], scheduler="FIFO", **kw))
         for mid, receiver in enumerate(receivers):
-            assert sim.enqueue(0, receiver, WriteDone(mid)) == mid
+            assert enqueue(sim, 0, receiver, WriteDone(mid)) == mid
         return sim
 
     @staticmethod
@@ -209,7 +204,7 @@ class TestInFlightPool:
         assert sim._choose().id == 1
         self.take(sim, 1)
         assert sim._choose().id == 3
-        assert sim.enqueue(0, 1, WriteDone(6)) == 6
+        assert enqueue(sim, 0, 1, WriteDone(6)) == 6
         self.take(sim, 3)
         assert sim._choose().id == 5
         self.take(sim, 5)
@@ -226,7 +221,7 @@ class TestInFlightPool:
         assert sim._oldest_correct().id == 3
         self.take(sim, 3)
         assert sim._oldest_correct() is None
-        assert sim.enqueue(0, 1, WriteDone(5)) == 5
+        assert enqueue(sim, 0, 1, WriteDone(5)) == 5
         assert sim._oldest_correct().id == 5
 
     def test_drop_to_removes_only_messages_to_the_receivers(self):
@@ -248,8 +243,8 @@ class TestInFlightPool:
             mid = int(step[1:])
             if step[0] == "+":
                 while len(sim._by_id) < mid:
-                    sim.enqueue(0, 3, WriteDone(len(sim._by_id)))
-                assert sim.enqueue(0, 1, WriteDone(mid)) == mid
+                    enqueue(sim, 0, 3, WriteDone(len(sim._by_id)))
+                assert enqueue(sim, 0, 1, WriteDone(mid)) == mid
                 live.add(mid)
             else:
                 assert self.take(sim, mid).id == mid
@@ -346,18 +341,44 @@ class TestFairness:
 
 
 class TestAdversarySendCap:
-    def test_flooding_strategy_is_truncated_to_cap(self):
+    @staticmethod
+    def sends_after_one_delivery(monkeypatch, effects):
+        """The SENDs of faulty p3 when one delivery to it returns effects.
+
+        The simulator binds each faulty pid's handler when it is built, so
+        the hook is replaced on the strategy class before that.
+        """
+        monkeypatch.setattr(AckForge, "on_deliver",
+                            lambda self, pid, sender, payload: effects)
         cfg = small_scenario(
             workload=[], scheduler="FIFO",
             adversary=AdversarySpec("ACK_FORGE", (3,), {}))
+        assert cfg.send_cap() == 16
         sim = Simulation(cfg)
-        sim.strategy.on_deliver = lambda pid, sender, payload: [
-            Send(dest % 4, WriteDone(dest)) for dest in range(100)]
-        sim.enqueue(0, 3, WriteDone(1))
+        enqueue(sim, 0, 3, WriteDone(1))
         sim.step()  # one delivery to the flooding node
-        byz_sends = [e for e in sim.events
-                     if e["kind"] == "SEND" and e["sender"] == 3]
-        assert len(byz_sends) == cfg.send_cap() == 16
+        return [(e["receiver"], e["payload"]["sn"]) for e in sim.events
+                if e["kind"] == "SEND" and e["sender"] == 3]
+
+    def test_flooding_strategy_is_truncated_to_cap(self, monkeypatch):
+        sends = self.sends_after_one_delivery(
+            monkeypatch, [Send(dest % 4, WriteDone(dest))
+                          for dest in range(100)])
+        assert sends == [(dest % 4, dest) for dest in range(16)]
+
+    def test_broadcast_counts_n_and_is_cut_short_at_the_cap(self,
+                                                            monkeypatch):
+        # n = 4: three Broadcasts and two Sends leave room for 2 of the 16,
+        # so the fourth Broadcast reaches p0 and p1 only, and nothing after
+        sends = self.sends_after_one_delivery(monkeypatch, [
+            Broadcast(WriteDone(1)), Send(3, WriteDone(2)),
+            Broadcast(WriteDone(3)), Send(1, WriteDone(4)),
+            Broadcast(WriteDone(5)), Broadcast(WriteDone(6)),
+            Send(0, WriteDone(7)), Broadcast(WriteDone(8))])
+        assert sends == [
+            (0, 1), (1, 1), (2, 1), (3, 1), (3, 2),
+            (0, 3), (1, 3), (2, 3), (3, 3), (1, 4),
+            (0, 5), (1, 5), (2, 5), (3, 5), (0, 6), (1, 6)]
 
 
 class TestScenarioRoundTrip:

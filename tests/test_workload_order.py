@@ -45,10 +45,9 @@ class ReferenceSimulation(Simulation):
                 if entry.process in self.byzantine:
                     # also counts the entry done for the settle trigger
                     self._mark_done(entry)
-                    if self.strategy is not None:
-                        self._byz_sends(entry.process,
-                                        self.strategy.on_workload(
-                                            entry.process, entry))
+                    self._process_effects(entry.process,
+                                          self.strategy.on_workload(
+                                              entry.process, entry))
                     continue
                 node = self.nodes[entry.process]
                 self._op_state[entry.id] = "running"
