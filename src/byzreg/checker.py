@@ -27,8 +27,10 @@ then decides:
   delivered: it ended QUIESCENT, or SETTLED with only messages to
   Byzantine processes set aside (see ``netsim``);
 * message cost: every completed read costs at most 4n sends among correct
-  processes and every write at most 2n^2 + 2n, with exact equality in
-  fault-free runs;
+  processes and every write at most 2n^2 + 2n. The cost is exact only on
+  the fault-free FIFO baseline: under RANDOM a process that r-delivers
+  from READYs before the APP reaches it never echoes, so a fault-free
+  write can cost less;
 * a linearization witness: a total order of the operations that an
   independent validator accepts (each operation at a single point inside
   its interval, reads returning the closest preceding write), built with
@@ -163,25 +165,25 @@ def derive_histories(trace: Trace) -> History:
         if kind == "SEND":
             if sender not in correct:
                 continue
-            tag = p["tag"]
+            tag = p.tag
             op = None
             if tag == "APP":
-                key = (sender, p["sn"])
-                broadcasts.setdefault(key, set()).add(p["value"])
+                key = (sender, p.sn)
+                broadcasts.setdefault(key, set()).add(p.value)
                 first_app_seq.setdefault(key, seq)
                 op = writes.get(key)
             elif tag in ("ECHO", "READY"):
-                op = writes.get((p["origin"], p["sn"]))
+                op = writes.get((p.origin, p.sn))
             elif tag == "WRITE_DONE":
-                op = writes.get((receiver, p["sn"]))
+                op = writes.get((receiver, p.sn))
             elif tag == "READ":
-                op = reads.get((sender, p["target"], p["rsn"]))
+                op = reads.get((sender, p.target, p.rsn))
             elif tag == "STATE":
-                op = reads.get((receiver, p["target"], p["rsn"]))
+                op = reads.get((receiver, p.target, p.rsn))
             elif tag == "CATCH_UP":
-                op = latest.get(("READ", sender, p["target"]))
+                op = latest.get(("READ", sender, p.target))
             elif tag == "CATCH_UP_DONE":
-                op = latest.get(("READ", receiver, p["target"]))
+                op = latest.get(("READ", receiver, p.target))
             if op is None:
                 unattributed += 1  # e.g. replies to a Byzantine requester
             else:

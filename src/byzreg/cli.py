@@ -5,8 +5,8 @@ Subcommands:
 * ``run``     one scenario, one or more seeds; writes traces and verdict
               reports, exits non-zero on any failure.
 * ``sweep``   seed range with aggregate statistics (run outcomes, verdicts)
-              and a per-operation message-cost table; reports the first
-              failing seed with a replay command.
+              and a message-cost table over completed operations;
+              reports the first failing seed with a replay command.
 * ``replay``  re-run one (scenario, seed) pair and print its trace hash.
 * ``list``    bundled scenario names.
 
@@ -142,9 +142,9 @@ def cmd_sweep(args) -> int:
         for v in report.verdicts:
             verdict_totals.setdefault(v.prop, {}).setdefault(v.status, 0)
             verdict_totals[v.prop][v.status] += 1
-        for cost in report.cost.per_op.values():
-            if cost.kind in costs and cost.total:
-                costs[cost.kind].append(cost.total)
+        for op in report.cost.per_op.values():
+            if op.completed():  # bounds hold for completed operations only
+                costs[op.kind].append(op.total)
         if not report.ok() and first_failure is None:
             first_failure = (seed, trace, report)
     bounds = cost_bounds(cfg.n)

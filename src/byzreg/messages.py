@@ -22,26 +22,38 @@ def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
+    """Base of the wire messages.
+
+    A message is its own trace payload: a SEND or DELIVER record holds the
+    object itself, and the receiver's handler gets that same object. So
+    messages are read-only by contract, though not frozen: a frozen
+    dataclass costs a setattr call per field on every construction.
+    """
+
     tag: ClassVar[str] = "?"
 
-    def to_wire(self) -> dict:
-        """The trace payload: tag, then fields in declaration order.
+    def __getitem__(self, key):
+        """``m["tag"]`` or ``m[field]``, as in the trace's JSON payload."""
+        if key == "tag":
+            return self.tag
+        if key in _field_names(type(self)):
+            return getattr(self, key)
+        raise KeyError(key)
 
-        Built once per message object and shared by every event that
-        carries it, so callers must not modify it.
+    def to_wire(self) -> dict:
+        """The JSON payload: tag, then fields in declaration order.
+
+        A new dict on each call; only trace serialization needs one.
         """
-        wire = self.__dict__.get("_wire")
-        if wire is None:
-            wire = {"tag": self.tag}
-            for name in _field_names(type(self)):
-                wire[name] = getattr(self, name)
-            self.__dict__["_wire"] = wire  # frozen: bypass __setattr__
+        wire = {"tag": self.tag}
+        for name in _field_names(type(self)):
+            wire[name] = getattr(self, name)
         return wire
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class App(Message):
     """First round of a reliable broadcast; origin is the message sender."""
 
@@ -50,7 +62,7 @@ class App(Message):
     tag: ClassVar[str] = "APP"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Echo(Message):
     """Second-round vote endorsing (origin, value, sn)."""
 
@@ -60,7 +72,7 @@ class Echo(Message):
     tag: ClassVar[str] = "ECHO"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ready(Message):
     """Final-round vote; enough of these trigger delivery."""
 
@@ -70,7 +82,7 @@ class Ready(Message):
     tag: ClassVar[str] = "READY"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteDone(Message):
     """Ack from a server that applied the writer's update numbered sn."""
 
@@ -78,7 +90,7 @@ class WriteDone(Message):
     tag: ClassVar[str] = "WRITE_DONE"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadReq(Message):
     """Reader's request for the current sequence number of register target."""
 
@@ -87,7 +99,7 @@ class ReadReq(Message):
     tag: ClassVar[str] = "READ"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StateReply(Message):
     """Server's answer to ReadReq: its local sequence number for target.
 
@@ -102,7 +114,7 @@ class StateReply(Message):
     tag: ClassVar[str] = "STATE"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CatchUp(Message):
     """Reader's request that the receiver hold a value at least this new."""
 
@@ -111,7 +123,7 @@ class CatchUp(Message):
     tag: ClassVar[str] = "CATCH_UP"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CatchUpDone(Message):
     """Ack that the receiver's copy of target reached sequence number sn."""
 

@@ -44,9 +44,11 @@ unpack records by position; other readers may index one by field name,
 pid order, holding that node's registers and operation counters as plain
 JSON. The trace is the only input the checker ever looks at.
 
-A record's payload dict is shared: a message's SEND and DELIVER records,
-and the SENDs of one message object to many receivers, all hold the same
-dict. Treat payloads as read-only.
+A SEND or DELIVER record's payload is the ``Message`` object itself: a
+message's SEND and DELIVER records, the SENDs of one message object to
+many receivers and the receiver's handler all share that one object.
+Other records hold plain dicts. JSON is built only when a trace is
+written (``Trace.jsonl``). Treat payloads as read-only.
 
 A delivery is one call of the receiver's handler: a correct node's
 ``handle``, or the strategy's ``on_deliver`` for a faulty pid. One loop
@@ -57,9 +59,8 @@ messages: a ``Broadcast`` counts n, and one that crosses the cap goes to
 processes 0..k-1 only, k being the room left.
 
 Sends are batched: a node's ``Broadcast`` effect becomes one call that
-puts the message in flight to processes 0..n-1 in pid order, encoding the
-payload once, appending one SEND record per receiver and keeping the
-encoded payload on each in-flight message for its DELIVER record. The
+puts the message in flight to processes 0..n-1 in pid order, appending
+one SEND record per receiver, each holding the one message object. The
 in-flight pool is two lists: one indexed by message id (None once a
 message is delivered or set aside), which the oldest-message cursors
 walk, and one of the in-flight messages in any order, each holding its
@@ -115,17 +116,15 @@ class Event(tuple):
 
 
 class PendingMessage:
-    __slots__ = ("id", "sender", "receiver", "payload", "wire",
-                 "enqueue_time", "correct", "pos")
+    __slots__ = ("id", "sender", "receiver", "payload", "enqueue_time",
+                 "correct", "pos")
 
     def __init__(self, mid: int, sender: int, receiver: int,
-                 payload: Message, wire: dict, enqueue_time: int,
-                 correct: bool = True):
+                 payload: Message, enqueue_time: int, correct: bool = True):
         self.id = mid
         self.sender = sender
         self.receiver = receiver
-        self.payload = payload
-        self.wire = wire  # payload.to_wire(), shared with the SEND record
+        self.payload = payload  # also the SEND and DELIVER records' payload
         self.enqueue_time = enqueue_time
         self.correct = correct  # sender and receiver are both correct
         self.pos = -1  # index in Simulation.pool while in flight
@@ -145,8 +144,9 @@ class Trace:
     step_budget: int
     outcome: str
     expect_nonterminating: bool
-    # one Event per record, in seq order; payload dicts are shared between
-    # records (see the module docstring) and must be treated as read-only
+    # one Event per record, in seq order; SEND and DELIVER payloads are
+    # the Message objects themselves, shared between records (see the
+    # module docstring), and every payload must be treated as read-only
     events: list[Event] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
@@ -178,8 +178,9 @@ class Trace:
 
         Each line is what json.dumps with separators (",", ":") gives for
         the record, built from the fixed field layout: seq, time, kind,
-        then node, sender and receiver (an int or null), then the payload.
-        A shared payload dict is encoded once.
+        then node, sender and receiver (an int or null), then the payload:
+        a Message through its to_wire(), any other payload as it is. A
+        payload object shared by several records is encoded once.
         """
         encode = json.JSONEncoder(separators=(",", ":")).encode
         lines = [encode(self.meta_record())]
@@ -187,7 +188,8 @@ class Trace:
         for seq, time, kind, node, sender, receiver, p in self.events:
             text = encoded.get(id(p))
             if text is None:
-                text = encoded[id(p)] = encode(p)
+                text = encoded[id(p)] = encode(
+                    p.to_wire() if isinstance(p, Message) else p)
             lines.append(_RECORD % (
                 seq, time, kind,
                 "null" if node is None else node,
@@ -262,7 +264,7 @@ class Simulation:
     # -- trace plumbing ------------------------------------------------------
 
     def _record(self, kind: str, node: int, sender, receiver,
-                payload: dict) -> Event:
+                payload) -> Event:
         # fields in EVENT_FIELDS order; _send builds SENDs the same way
         event = tuple.__new__(Event, (self._seq, self.time, kind, node,
                                       sender, receiver, payload))
@@ -275,12 +277,11 @@ class Simulation:
     def _send(self, sender: int, receivers, payload: Message) -> None:
         """Put payload in flight from sender to each receiver, in order.
 
-        One SEND record per receiver, all sharing one payload dict, and
+        One SEND record per receiver, all holding the payload object, and
         one message id each, issued in order: a message's id is its index
         in _by_id.
         """
         n = self.n
-        wire = payload.to_wire()
         events, time = self.events, self.time
         pool, by_id = self.pool, self._by_id
         byzantine = self.byzantine
@@ -294,7 +295,7 @@ class Simulation:
                 raise ValueError(f"receiver {receiver} out of range")
             # fields in EVENT_FIELDS order, as in _record
             events.append(new(Event, (seq, time, "SEND", sender, sender,
-                                      receiver, wire)))
+                                      receiver, payload)))
             seq += 1
             if sender_byz or receiver in byzantine:
                 if receiver in byzantine and self._aside is not None:
@@ -302,11 +303,10 @@ class Simulation:
                     by_id.append(None)
                     mid += 1
                     continue
-                msg = PendingMessage(mid, sender, receiver, payload, wire,
-                                     time, False)
+                msg = PendingMessage(mid, sender, receiver, payload, time,
+                                     False)
             else:
-                msg = PendingMessage(mid, sender, receiver, payload, wire,
-                                     time)
+                msg = PendingMessage(mid, sender, receiver, payload, time)
             msg.pos = len(pool)
             pool.append(msg)
             by_id.append(msg)
@@ -499,7 +499,7 @@ class Simulation:
         self._take(msg)
         self.time += 1
         sender, receiver, payload = msg.sender, msg.receiver, msg.payload
-        event = self._record("DELIVER", receiver, sender, receiver, msg.wire)
+        event = self._record("DELIVER", receiver, sender, receiver, payload)
         effects = self._handlers[receiver](sender, payload)
         if effects:  # most deliveries change nothing visible
             self._process_effects(receiver, effects)

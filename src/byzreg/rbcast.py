@@ -41,7 +41,7 @@ PENDING_CAP = 1024
 _NOTHING = object()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     """Instruction to transmit payload to process dest."""
 
@@ -49,14 +49,14 @@ class Send:
     payload: Message
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Broadcast:
     """Instruction to transmit payload to every process, self included."""
 
     payload: Message
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RDeliver:
     """A broadcast instance that completed at this node."""
 

@@ -44,7 +44,7 @@ class RegEntry:
     sn: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Complete:
     """An operation started at this node finished."""
 

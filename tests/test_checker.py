@@ -16,6 +16,7 @@ from byzreg.checker import (FAIL, PASS, VACUOUS, History, LinItem,
                             validate_linearization)
 from byzreg.cli import resolve_scenario
 from byzreg.errors import TraceError
+from byzreg.messages import App
 from byzreg.netsim import Simulation, Trace
 from byzreg.scenario import ScenarioConfig, WorkloadOp, matrix_scenario
 from helpers import (brute_force_linearizable, min_quorum_intersection,
@@ -479,8 +480,7 @@ class TestWitnessMatchesNestedLoop:
 
 class TestCheckRb:
     def _app_send(self, origin, value, sn):
-        return ev("SEND", origin, {"tag": "APP", "value": value, "sn": sn},
-                  receiver=0)
+        return ev("SEND", origin, App(value, sn), receiver=0)
 
     @staticmethod
     def statuses(trace):
@@ -695,9 +695,10 @@ class TestCostAccounting:
         correct = set(trace.correct_nodes())
         expected = collections.Counter()
         for event in trace.events:
-            tag = event["payload"].get("tag")
-            if (event["kind"] != "SEND" or event["sender"] not in correct
-                    or tag not in ("CATCH_UP", "CATCH_UP_DONE")):
+            if event["kind"] != "SEND" or event["sender"] not in correct:
+                continue
+            tag = event["payload"]["tag"]
+            if tag not in ("CATCH_UP", "CATCH_UP_DONE"):
                 continue
             reader = event["sender"] if tag == "CATCH_UP" else event["receiver"]
             owner = None

@@ -8,7 +8,8 @@ import pytest
 
 from byzreg.cli import bundled_scenario_names, main, resolve_scenario
 from byzreg.errors import ScenarioError
-from byzreg.scenario import ScenarioConfig, matrix_scenario
+from byzreg.scenario import (AdversarySpec, ScenarioConfig, matrix_scenario,
+                             standard_workload)
 
 
 def test_list_shows_bundled_scenarios(capsys):
@@ -165,6 +166,24 @@ def test_sweep_tallies_run_outcomes(tmp_path, capsys):
     assert "  outcomes: QUIESCENT=4, SETTLED=1\n" in capsys.readouterr().out
     doc = json.loads((tmp_path / "write-termination-sweep.json").read_text())
     assert doc["outcomes"] == {"QUIESCENT": 4, "SETTLED": 1}
+
+
+def test_sweep_costs_count_only_completed_operations(tmp_path, capsys):
+    # n=3 cannot tolerate t=1: with p2 silent, w1 never gathers its acks, so
+    # every run is stuck and no operation has a cost to report
+    cfg = ScenarioConfig(name="n3-crash", n=3, t=1,
+                         workload=standard_workload(3, frozenset({2}), False),
+                         adversary=AdversarySpec("CRASH_SILENT", (2,)))
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["sweep", str(path), "--seeds", "0:3", "--allow-t-violation",
+                 "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "outcomes: STUCK=3" in out
+    assert "message-cost: VACUOUS=3" in out
+    assert "sends/op" not in out
+    doc = json.loads((tmp_path / "n3-crash-sweep.json").read_text())
+    assert doc["costs"] == {}
 
 
 def test_random_schedules_respect_cost_bounds(capsys):

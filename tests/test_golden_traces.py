@@ -23,6 +23,7 @@ import pytest
 
 from byzreg.checker import CheckReport, run_all_checks
 from byzreg.cli import bundled_scenario_names, resolve_scenario
+from byzreg.messages import Message
 from byzreg.mutations import ALL_MUTATIONS
 from byzreg.netsim import EVENT_FIELDS, Simulation
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
@@ -127,9 +128,16 @@ def report_hash(report: CheckReport) -> str:
 
 
 def reference_jsonl(trace) -> str:
-    """The trace encoded one json.dumps per record, as Trace.jsonl must."""
-    records = [trace.meta_record(),
-               *(dict(zip(EVENT_FIELDS, e)) for e in trace.events)]
+    """The trace encoded one json.dumps per record, as Trace.jsonl must.
+
+    A Message payload is encoded as its to_wire() dict.
+    """
+    records = [trace.meta_record()]
+    for e in trace.events:
+        record = dict(zip(EVENT_FIELDS, e))
+        if isinstance(record["payload"], Message):
+            record["payload"] = record["payload"].to_wire()
+        records.append(record)
     return "".join(json.dumps(record, separators=(",", ":")) + "\n"
                    for record in records)
 

@@ -9,7 +9,7 @@ from byzreg.adversary import STRATEGIES, AckForge, ReadyPoison
 from byzreg.checker import run_all_checks
 from byzreg.cli import bundled_scenario_names, resolve_scenario
 from byzreg.errors import ScenarioError, SimulationClosedError
-from byzreg.messages import Echo, WriteDone
+from byzreg.messages import Echo, Message, WriteDone
 from byzreg.netsim import EVENT_FIELDS, Event, Simulation, Trace
 from byzreg.rbcast import Broadcast, Send
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
@@ -81,15 +81,16 @@ class TestEnqueue:
     def test_broadcast_sends_to_every_process_in_pid_order(self):
         sim = Simulation(small_scenario(workload=[]))
         enqueue(sim, 0, 1, WriteDone(1))
-        sim._process_effects(2, [Broadcast(Echo(1, "x", 1))])
+        echo = Echo(1, "x", 1)
+        sim._process_effects(2, [Broadcast(echo)])
         sends = sim.events[1:]
         assert [e["receiver"] for e in sends] == [0, 1, 2, 3]
         assert [e["seq"] for e in sends] == [1, 2, 3, 4]
         assert {e["kind"] for e in sends} == {"SEND"}
         assert {e["sender"] for e in sends} == {2}
-        assert all(e["payload"] is sends[0]["payload"] for e in sends)
-        assert sends[0]["payload"] == {"tag": "ECHO", "origin": 1,
-                                       "value": "x", "sn": 1}
+        assert all(e["payload"] is echo for e in sends)
+        assert echo.to_wire() == {"tag": "ECHO", "origin": 1, "value": "x",
+                                  "sn": 1}
         assert [sim._by_id[mid].receiver for mid in range(1, 5)] == [
             0, 1, 2, 3]
 
@@ -399,16 +400,46 @@ class TestChannelSemantics:
         sent = collections.Counter()
         delivered = collections.Counter()
         for e in trace.events:
-            key = (e["sender"], e["receiver"], json.dumps(e["payload"]))
+            if e["kind"] not in ("SEND", "DELIVER"):
+                continue
+            key = (e["sender"], e["receiver"],
+                   json.dumps(e["payload"].to_wire()))
             if e["kind"] == "SEND":
                 sent[key] += 1
-            elif e["kind"] == "DELIVER":
+            else:
                 delivered[key] += 1
         assert sent == delivered
 
+    @pytest.mark.parametrize("cfg", [
+        small_scenario(seed=3), matrix_scenario(4, "EQUIVOCATE_WRITE", 1)],
+        ids=["fault-free", "equivocate"])
+    def test_records_hold_the_object_the_handler_was_given(self, cfg):
+        sim = Simulation(cfg)
+        handed = []
+
+        def recording(handler):
+            def handle(sender, payload):
+                handed.append(payload)
+                return handler(sender, payload)
+            return handle
+
+        sim._handlers = [recording(h) for h in sim._handlers]
+        sent = collections.defaultdict(list)  # (sender, receiver) -> ids
+        seen = 0
+        while (deliver := sim.step()) is not None:
+            for e in sim.events[seen:]:
+                if e["kind"] == "SEND":
+                    sent[e["sender"], e["receiver"]].append(id(e["payload"]))
+            seen = len(sim.events)
+            payload = deliver["payload"]
+            assert isinstance(payload, Message)
+            assert payload is handed[-1]
+            assert id(payload) in sent[deliver["sender"], deliver["receiver"]]
+        assert len(handed) == sum(e["kind"] == "DELIVER"
+                                  for e in sim.events) > 0
+
     def test_jsonl_matches_per_record_json_dumps(self):
-        shared = {"tag": "ECHO", "origin": 0, "value": "caf\u00e9 \u2603",
-                  "sn": 1}
+        shared = Echo(0, "caf\u00e9 \u2603", 1)
         events = [
             event(seq=0, time=0, kind="OP_START", node=0,
                   sender=0, receiver=None,
@@ -567,12 +598,15 @@ class TestSettle:
             delivered = collections.Counter()
             pairs = collections.Counter()
             for e in trace.events:
-                key = (e["sender"], e["receiver"], json.dumps(e["payload"]))
+                if e["kind"] not in ("SEND", "DELIVER"):
+                    continue
+                key = (e["sender"], e["receiver"],
+                       json.dumps(e["payload"].to_wire()))
                 if e["kind"] == "SEND":
                     sent[key] += 1
                     if not byz & {e["sender"], e["receiver"]}:
                         pairs[e["sender"], e["receiver"]] += 1
-                elif e["kind"] == "DELIVER":
+                else:
                     delivered[key] += 1
                     if not byz & {e["sender"], e["receiver"]}:
                         pairs[e["sender"], e["receiver"]] -= 1
