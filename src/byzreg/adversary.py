@@ -19,37 +19,36 @@ a ``Broadcast`` counting n; one that crosses the cap reaches processes
 
 Every strategy is a deterministic function of (scenario seed, inputs), so
 runs containing Byzantine nodes replay byte-identically. Each declares the
-params it reads in ``PARAMS``; ``check_params`` rejects any other key and
-any value of the wrong kind before a run starts.
+params it reads in ``PARAMS``, with their kinds and defaults;
+``ScenarioConfig.validate`` rejects any other key and any value of the wrong
+kind before a run starts.
 """
 from __future__ import annotations
 
 import random
 
-from .errors import ScenarioError
 from .messages import (App, CatchUp, CatchUpDone, Echo, Message, ReadReq,
                        Ready, StateReply, WriteDone)
 from .register import RegisterNode
 from .rbcast import Broadcast, Send
-from .scenario import AdversarySpec, WorkloadOp
-
-
-PROCESS = "process"  # a param naming a process: an integer in [0, n)
+from .scenario import PROCESS, AdversarySpec, WorkloadOp
 
 
 class AdversaryStrategy:
     """Base: a silent node that never sends and ignores everything."""
 
     name = "CRASH_SILENT"
-    # param name -> bool, int, PROCESS or a tuple of the allowed values
-    PARAMS: dict[str, object] = {}
+    # param name -> (int or PROCESS, default); each param becomes an
+    # attribute of the same name
+    PARAMS: dict[str, tuple[object, int | None]] = {}
 
     def __init__(self, nodes: tuple[int, ...], n: int, t: int, seed: int,
                  params: dict):
         self.nodes = tuple(nodes)
         self.n = n
         self.t = t
-        self.params = dict(params)
+        for key, (_kind, default) in self.PARAMS.items():
+            setattr(self, key, params.get(key, default))
         self.rng = random.Random(f"{seed}:{self.name}")
 
     # Under ADVERSARIAL_REORDER, a method mapping a netsim.PendingMessage to
@@ -75,19 +74,17 @@ class EquivocateWrite(AdversaryStrategy):
 
     Each write trigger broadcasts value "<v>/a" to a random subset of the
     processes and "<v>/b" to the rest, then votes for both values itself.
-    With params {"selective": true, "victim": k} the supporting votes go
-    only to process k, which maximizes the chance that a single process
-    crosses a threshold no one else crosses.
+    With params {"victim": k} the supporting votes go only to process k,
+    which maximizes the chance that a single process crosses a threshold
+    no one else crosses; without it they go to every process.
     """
 
     name = "EQUIVOCATE_WRITE"
-    PARAMS = {"selective": bool, "victim": PROCESS}
+    PARAMS = {"victim": (PROCESS, None)}
 
     def __init__(self, nodes, n, t, seed, params):
         super().__init__(nodes, n, t, seed, params)
         self.sn = {pid: 0 for pid in nodes}
-        self.selective = params.get("selective", False)
-        self.victim = params.get("victim", 0)
 
     def on_workload(self, pid, entry):
         if entry.op != "write":
@@ -115,7 +112,7 @@ class EquivocateWrite(AdversaryStrategy):
         return []
 
     def _support_targets(self) -> list[int]:
-        return [self.victim] if self.selective else list(range(self.n))
+        return list(range(self.n)) if self.victim is None else [self.victim]
 
 
 class SeqSkip(AdversaryStrategy):
@@ -142,18 +139,11 @@ class StaleState(AdversaryStrategy):
     """Answer read requests with a forged sequence number.
 
     params: {"report": int} fixes the forged number (default an absurdly
-    inflated one); {"mode": "deflate"} reports 0 instead.
+    inflated one; 0 deflates instead).
     """
 
     name = "STALE_STATE"
-    PARAMS = {"report": int, "mode": ("deflate",)}
-
-    def __init__(self, nodes, n, t, seed, params):
-        super().__init__(nodes, n, t, seed, params)
-        if params.get("mode") == "deflate":
-            self.report = 0
-        else:
-            self.report = params.get("report", 10 ** 6)
+    PARAMS = {"report": (int, 10 ** 6)}
 
     def on_deliver(self, pid, sender, payload):
         if isinstance(payload, ReadReq):
@@ -196,12 +186,11 @@ class ReadyPoison(AdversaryStrategy):
     """
 
     name = "READY_POISON"
-    PARAMS = {"origin": int}
+    PARAMS = {"origin": (int, 0)}
     poison_value = "POISON"
 
     def __init__(self, nodes, n, t, seed, params):
         super().__init__(nodes, n, t, seed, params)
-        self.origin = params.get("origin", 0)
         self.counter = 0
         # votes cycle through sn 1..4; poison[i] carries sn i+1
         self.poison = [Ready(self.origin, self.poison_value, sn)
@@ -230,12 +219,10 @@ class ColludeDelay(AdversaryStrategy):
     """
 
     name = "COLLUDE_DELAY"
-    PARAMS = {"favored": PROCESS, "victim": PROCESS}
+    PARAMS = {"favored": (PROCESS, 0), "victim": (PROCESS, None)}
 
     def __init__(self, nodes, n, t, seed, params):
         super().__init__(nodes, n, t, seed, params)
-        self.favored = params.get("favored", 0)
-        self.victim = params.get("victim")
         self.inner = {pid: RegisterNode(pid, n, t) for pid in nodes}
 
     # only the inner node's sends leave it: its r-deliveries and
@@ -267,29 +254,6 @@ STRATEGIES: dict[str, type[AdversaryStrategy]] = {
     for cls in (CrashSilent, EquivocateWrite, SeqSkip, StaleState, AckForge,
                 ReadyPoison, ColludeDelay)
 }
-
-
-def check_params(spec: AdversarySpec, n: int) -> None:
-    """Raise ScenarioError unless spec's params fit its strategy's PARAMS."""
-    expected = STRATEGIES[spec.name].PARAMS
-    for key, value in spec.params.items():
-        kind = expected.get(key)
-        if kind is None:
-            raise ScenarioError(
-                f"adversary {spec.name} has no param {key!r} "
-                f"(params: {sorted(expected) or 'none'})")
-        integer = isinstance(value, int) and not isinstance(value, bool)
-        if kind is bool:
-            ok, want = isinstance(value, bool), "a JSON boolean"
-        elif kind is int:
-            ok, want = integer, "an integer"
-        elif kind == PROCESS:
-            ok, want = integer and 0 <= value < n, f"a process in [0, {n})"
-        else:
-            ok, want = value in kind, f"one of {list(kind)}"
-        if not ok:
-            raise ScenarioError(f"adversary {spec.name} param {key!r} must "
-                                f"be {want}, got {value!r}")
 
 
 def build_strategy(spec: AdversarySpec, n: int, t: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 from .errors import ScenarioError
@@ -19,8 +19,9 @@ from .mutations import ALL_MUTATIONS
 
 SCHEDULERS = ("FIFO", "RANDOM", "ADVERSARIAL_REORDER")
 
-DEFAULT_FAIRNESS_BOUND = 1000
-DEFAULT_STEP_BUDGET = 200_000
+# value kinds for expect(), besides the JSON types
+SCALAR = "scalar"  # a finite JSON string, number or boolean, or null
+PROCESS = "process"  # an integer in [0, n)
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class ScenarioConfig:
     scheduler: str = "RANDOM"
     workload: list[WorkloadOp] = field(default_factory=list)
     adversary: AdversarySpec | None = None
-    fairness_bound: int = DEFAULT_FAIRNESS_BOUND
-    step_budget: int = DEFAULT_STEP_BUDGET
+    fairness_bound: int = 1000
+    step_budget: int = 200_000
     mutations: frozenset[str] = frozenset()
     allow_t_violation: bool = False
     expect_nonterminating: bool = False
@@ -92,12 +93,19 @@ class ScenarioConfig:
         byz = self.byzantine_nodes()
         if self.adversary is not None:
             # late import to avoid a cycle
-            from .adversary import STRATEGIES, check_params
-            if self.adversary.name not in STRATEGIES:
-                raise ScenarioError(
-                    f"unknown adversary {self.adversary.name!r}; "
-                    f"expected one of {sorted(STRATEGIES)}")
-            check_params(self.adversary, self.n)
+            from .adversary import STRATEGIES
+            name = self.adversary.name
+            if name not in STRATEGIES:
+                raise ScenarioError(f"unknown adversary {name!r}; "
+                                    f"expected one of {sorted(STRATEGIES)}")
+            declared = STRATEGIES[name].PARAMS
+            for key, value in self.adversary.params.items():
+                if key not in declared:
+                    raise ScenarioError(
+                        f"adversary {name} has no param {key!r} "
+                        f"(params: {sorted(declared) or 'none'})")
+                expect(value, declared[key][0],
+                       f"adversary {name} param {key!r}", self.n)
             if not byz:
                 raise ScenarioError("adversary requires a non-empty node list")
             if any(p < 0 or p >= self.n for p in byz):
@@ -151,90 +159,35 @@ class ScenarioConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        doc = {
-            "name": self.name,
-            "n": self.n,
-            "t": self.t,
-            "seed": self.seed,
-            "scheduler": self.scheduler,
-            "fairness_bound": self.fairness_bound,
-            "step_budget": self.step_budget,
-            "workload": [
-                {k: v for k, v in (
-                    ("id", op.id), ("process", op.process), ("op", op.op),
-                    ("value", op.value), ("target", op.target),
-                    ("at", op.at), ("after", op.after)) if v is not None}
-                for op in self.workload
-            ],
-        }
+        """The scenario document from_dict reads back into this config."""
+        doc = _non_none_fields(self)
+        doc["workload"] = [_non_none_fields(op) for op in self.workload]
         if self.adversary is not None:
-            doc["adversary"] = {"name": self.adversary.name,
+            doc["adversary"] = {**_non_none_fields(self.adversary),
                                 "nodes": list(self.adversary.nodes),
                                 "params": dict(self.adversary.params)}
-        if self.mutations:
-            doc["mutations"] = sorted(self.mutations)
-        if self.allow_t_violation:
-            doc["allow_t_violation"] = True
-        if self.expect_nonterminating:
-            doc["expect_nonterminating"] = True
+        doc["mutations"] = sorted(self.mutations)
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
         """Parse a scenario document; validate() checks the values."""
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario document must be a JSON object")
-        for req in ("name", "n", "t"):
-            if req not in doc:
-                raise ScenarioError(f"scenario is missing required field {req!r}")
-        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
+        fields = _read(doc, cls, _SCENARIO_KINDS, "scenario", "{}")
         workload = []
-        for i, raw in enumerate(_typed(doc.get("workload", []), list,
-                                       "workload")):
+        for i, raw in enumerate(fields.get("workload", [])):
             where = f"workload entry #{i}"
-            _typed(raw, dict, where)
-            if "id" not in raw or "process" not in raw or "op" not in raw:
-                raise ScenarioError(f"{where} needs 'id', 'process' and 'op'")
-            after = raw.get("after")
-            if after is not None:
-                _typed(after, str, f"{where} after")
-            workload.append(WorkloadOp(
-                id=_typed(raw["id"], str, f"{where} id"),
-                process=_int(raw["process"], f"{where} process"),
-                op=str(raw["op"]),
-                value=_scalar(raw.get("value"), f"{where} value"),
-                target=_int(raw.get("target"), f"{where} target", optional=True),
-                at=_int(raw.get("at"), f"{where} at", optional=True),
-                after=after))
-        adversary = None
-        if doc.get("adversary") is not None:
-            raw = _typed(doc["adversary"], dict, "adversary")
-            if "name" not in raw or "nodes" not in raw:
-                raise ScenarioError("adversary needs 'name' and 'nodes'")
-            nodes = _typed(raw["nodes"], list, "adversary 'nodes'")
-            adversary = AdversarySpec(
-                name=str(raw["name"]),
-                nodes=tuple(_int(p, "adversary node") for p in nodes),
-                params=dict(_typed(raw.get("params", {}), dict,
-                                   "adversary 'params'")))
-        mutations = [_typed(m, str, "mutation name")
-                     for m in _typed(doc.get("mutations", []), list, "mutations")]
-        return cls(
-            name=_typed(doc["name"], str, "name"), n=_int(doc["n"], "n"), t=_int(doc["t"], "t"),
-            seed=_int(doc.get("seed", 0), "seed"),
-            scheduler=str(doc.get("scheduler", "RANDOM")),
-            workload=workload, adversary=adversary,
-            fairness_bound=_int(doc.get("fairness_bound", DEFAULT_FAIRNESS_BOUND),
-                                "fairness_bound"),
-            step_budget=_int(doc.get("step_budget", DEFAULT_STEP_BUDGET),
-                             "step_budget"),
-            mutations=frozenset(mutations),
-            allow_t_violation=_typed(doc.get("allow_t_violation", False), bool,
-                                     "allow_t_violation"),
-            expect_nonterminating=_typed(doc.get("expect_nonterminating", False),
-                                         bool, "expect_nonterminating"))
+            workload.append(WorkloadOp(**_read(raw, WorkloadOp, _ENTRY_KINDS,
+                                               where, where + " {}")))
+        fields["workload"] = workload
+        if fields.get("adversary") is not None:
+            spec = _read(fields["adversary"], AdversarySpec, _ADVERSARY_KINDS,
+                         "adversary", "adversary {!r}")
+            spec["nodes"] = tuple(expect(p, int, "adversary node")
+                                  for p in spec["nodes"])
+            fields["adversary"] = AdversarySpec(**spec)
+        fields["mutations"] = frozenset(expect(m, str, "mutation name")
+                                        for m in fields.get("mutations", []))
+        return cls(**fields)
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
@@ -257,36 +210,73 @@ class ScenarioConfig:
         return dataclasses.replace(self, seed=seed)
 
 
-_JSON_KINDS = {list: "array", dict: "object", str: "string", bool: "boolean"}
+# The JSON kind of each key at each level of a scenario document. A key the
+# document leaves out takes its dataclass default; a field without one is
+# required, and null stands for a default of None.
+_SCENARIO_KINDS = {
+    "name": str, "n": int, "t": int, "seed": int, "scheduler": str,
+    "workload": list, "adversary": dict, "fairness_bound": int,
+    "step_budget": int, "mutations": list, "allow_t_violation": bool,
+    "expect_nonterminating": bool}
+_ENTRY_KINDS = {"id": str, "process": int, "op": str, "value": SCALAR,
+                "target": int, "at": int, "after": str}
+_ADVERSARY_KINDS = {"name": str, "nodes": list, "params": dict}
+
+_JSON_NAMES = {str: "a JSON string", bool: "a JSON boolean",
+               list: "a JSON array", dict: "a JSON object"}
 
 
-def _typed(value, kind: type, what: str):
-    """value itself if it has the JSON type kind stands for, else raise."""
-    if not isinstance(value, kind):
-        raise ScenarioError(
-            f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
-    return value
+def expect(value, kind, what: str, n: int = 0, optional: bool = False):
+    """value itself if it is of the given kind, else raise ScenarioError.
 
-
-def _scalar(value, what: str):
-    """value itself if it is a JSON string, number, boolean or null."""
-    if value is not None and not isinstance(value, (str, int, float)):
-        raise ScenarioError(f"{what} must be a JSON string, number, boolean "
-                            f"or null, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        # NaN never equals itself: processes that all applied it would
-        # seem to disagree
-        raise ScenarioError(f"{what} must be a finite number, got {value!r}")
-    return value
-
-
-def _int(value, what: str, optional: bool = False):
-    """value itself if it is a JSON integer (or None, when optional)."""
+    kind is str, int (not bool), bool, list, dict, SCALAR or PROCESS (an
+    integer in [0, n)); an optional value may also be None.
+    """
     if value is None and optional:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+        return value
+    if kind is SCALAR:
+        if isinstance(value, float) and not math.isfinite(value):
+            # NaN never equals itself: processes that all applied it would
+            # seem to disagree
+            raise ScenarioError(f"{what} must be a finite number, got {value!r}")
+        ok = value is None or isinstance(value, (str, int, float))
+        want = "a JSON string, number, boolean or null"
+    elif kind is int or kind is PROCESS:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        want = "an integer"
+        if kind is PROCESS:
+            ok = ok and 0 <= value < n
+            want = f"a process in [0, {n})"
+    else:
+        ok, want = isinstance(value, kind), _JSON_NAMES[kind]
+    if not ok:
+        raise ScenarioError(f"{what} must be {want}, got {value!r}")
     return value
+
+
+def _read(doc, cls, kinds: dict, level: str, what: str) -> dict:
+    """The keys of one level of a scenario document, each checked against
+    its kind; what.format(key) names a key in errors."""
+    expect(doc, dict, level)
+    unknown = set(doc) - set(kinds)
+    if unknown:
+        raise ScenarioError(f"unknown {level} fields: {sorted(unknown)}")
+    defaults = {}
+    for f in dataclasses.fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING:
+            if f.name not in doc:
+                raise ScenarioError(
+                    f"{level} is missing required field {f.name!r}")
+        defaults[f.name] = f.default
+    return {key: expect(value, kinds[key], what.format(key),
+                        optional=defaults[key] is None)
+            for key, value in doc.items()}
+
+
+def _non_none_fields(obj) -> dict:
+    """A dataclass's fields in declaration order, leaving out None ones."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+            if getattr(obj, f.name) is not None}
 
 
 def max_tolerated(n: int) -> int:

@@ -91,7 +91,7 @@ class TestCrashSilent:
 
 class TestStaleState:
     @pytest.mark.parametrize("params", [{"report": 10 ** 6},
-                                        {"mode": "deflate"}])
+                                        {"report": 0}])
     def test_reads_terminate_despite_forged_reports(self, params):
         cfg = ScenarioConfig(
             name="stale", n=4, t=1, seed=0,

@@ -61,6 +61,12 @@ def test_empty_seed_range_is_rejected(capsys, command, seeds):
     assert f"--seeds {seeds} is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["3", "a:b"])
+def test_malformed_seed_range_is_rejected(capsys, seeds):
+    assert main(["run", "abd-style-fault-free", "--seeds", seeds]) == 2
+    assert f"--seeds expects A:B, got {seeds!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["replay", "abd-style-fault-free", "--seeds", "3:5"],
     ["replay", "abd-style-fault-free", "-v"],
@@ -120,6 +126,16 @@ def test_replay_is_reproducible(capsys):
     hash_lines = [l for l in first.splitlines() if l.startswith("trace_hash=")]
     assert hash_lines
     assert first == second
+
+
+def test_replay_writes_artifacts(tmp_path, capsys):
+    assert main(["replay", "abd-style-fault-free", "--seed", "2",
+                 "--out", str(tmp_path)]) == 0
+    trace_hash = capsys.readouterr().out.split("trace_hash=")[1].split()[0]
+    report = json.loads(
+        (tmp_path / "abd-style-fault-free-seed2.report.json").read_text())
+    assert report["trace_hash"] == trace_hash
+    assert (tmp_path / "abd-style-fault-free-seed2.trace.jsonl").exists()
 
 
 def test_mutation_flag_turns_run_red(capsys):
@@ -244,6 +260,14 @@ def run_doc(tmp_path, doc):
     return main(["run", str(path)])
 
 
+def assert_scenario_error(tmp_path, capsys, doc, message):
+    """doc fails validation with message, and `byzreg run` exits 2 on it."""
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        ScenarioConfig.from_dict(doc).validate()
+    assert run_doc(tmp_path, doc) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_misspelled_mutate_flag_is_rejected(capsys):
     code = main(["run", "read-inversion-window", "--mutate", "NO_CATCHUP"])
     assert code == 2
@@ -331,25 +355,83 @@ def with_entry_field(i, field, value):
     (with_params("EQUIVOCATE_WRITE", victim=7),
      "adversary EQUIVOCATE_WRITE param 'victim' must be a process in "
      "[0, 4), got 7"),
-    (with_params("EQUIVOCATE_WRITE", selective="yes"),
-     "adversary EQUIVOCATE_WRITE param 'selective' must be a JSON boolean, "
-     "got 'yes'"),
+    (with_params("EQUIVOCATE_WRITE", selective=True),
+     "adversary EQUIVOCATE_WRITE has no param 'selective' "
+     "(params: ['victim'])"),
     (with_params("READY_POISON", orign=1),
      "adversary READY_POISON has no param 'orign' (params: ['origin'])"),
     (with_params("CRASH_SILENT", victim=1),
      "adversary CRASH_SILENT has no param 'victim' (params: none)"),
-    (with_params("STALE_STATE", mode="inflate"),
-     "adversary STALE_STATE param 'mode' must be one of ['deflate'], "
-     "got 'inflate'"),
+    (with_params("STALE_STATE", mode="deflate"),
+     "adversary STALE_STATE has no param 'mode' (params: ['report'])"),
+    (with_entry_field(0, "op", 1),
+     "workload entry #0 op must be a JSON string, got 1"),
+    (small_doc(scheduler=None), "scheduler must be a JSON string, got None"),
+    (small_doc(adversary={"name": 7, "nodes": [3]}),
+     "adversary 'name' must be a JSON string, got 7"),
+    (small_doc(workload=[{"id": "w1", "process": 0, "op": "write",
+                          "vlaue": "x", "at": 0}]),
+     "unknown workload entry #0 fields: ['vlaue']"),
+    (small_doc(workload=[small_doc()["workload"][0],
+                         {"id": "r1", "process": 1, "op": "read",
+                          "target": 0, "at": 0, "afer": "w1"}]),
+     "unknown workload entry #1 fields: ['afer']"),
+    (small_doc(adversary={"name": "COLLUDE_DELAY", "nodes": [3],
+                          "parms": {"victim": 1}}),
+     "unknown adversary fields: ['parms']"),
 ], ids=["n", "target", "at", "entry", "nodes", "flag", "value", "init-values",
         "name-type", "name-empty", "name-dot", "name-dotdot", "name-parent",
         "name-slash", "name-backslash", "name-null",
         "id", "after", "nan-value", "param-type",
         "param-process-type", "param-process-range", "param-flag",
-        "param-key", "param-none-expected", "param-mode"])
+        "param-key", "param-none-expected", "param-mode", "op-type",
+        "scheduler-type", "adversary-name-type", "entry-key",
+        "entry-after-key", "adversary-key"])
 def test_malformed_field_types_are_scenario_errors(tmp_path, capsys, doc,
                                                    message):
-    with pytest.raises(ScenarioError, match=re.escape(message)):
-        ScenarioConfig.from_dict(doc).validate()
-    assert run_doc(tmp_path, doc) == 2
-    assert message in capsys.readouterr().err
+    assert_scenario_error(tmp_path, capsys, doc, message)
+
+
+def without_entry_field(i, field):
+    doc = small_doc()
+    del doc["workload"][i][field]
+    return doc
+
+
+def with_adversary(*nodes, **fields):
+    return small_doc(adversary={"name": "CRASH_SILENT", "nodes": list(nodes),
+                                **fields})
+
+
+@pytest.mark.parametrize("doc, message", [
+    (small_doc(n=0), "n must be positive"),
+    (small_doc(t=-1), "t must be non-negative"),
+    (small_doc(scheduler="LIFO"), "unknown scheduler 'LIFO'"),
+    (small_doc(fairness_bound=0), "fairness_bound must be at least 1"),
+    (small_doc(step_budget=0), "step_budget must be at least 1"),
+    (with_adversary(), "adversary requires a non-empty node list"),
+    (with_adversary(4), "adversary nodes out of range"),
+    (with_adversary(2, 3), "adversary controls 2 nodes but t=1"),
+    (small_doc(workload=small_doc()["workload"] * 2),
+     "duplicate workload id 'w1'"),
+    (with_entry_field(0, "process", 4), "workload w1: process out of range"),
+    (with_entry_field(0, "op", "cas"),
+     "workload w1: op must be 'write' or 'read'"),
+    (with_entry_field(1, "target", 4),
+     "workload r1: read needs a target in [0, n)"),
+    (without_entry_field(1, "after"),
+     "workload r1: needs an 'at' time or an 'after' ref"),
+    (with_entry_field(0, "at", -1), "workload w1: 'at' must be >= 0"),
+    ([small_doc()], "scenario must be a JSON object"),
+    (without_entry_field(0, "op"),
+     "workload entry #0 is missing required field 'op'"),
+    (small_doc(adversary={"nodes": [3]}),
+     "adversary is missing required field 'name'"),
+], ids=["n", "t", "scheduler", "fairness-bound", "step-budget",
+        "no-adversary-nodes", "adversary-node-range", "adversary-over-t",
+        "duplicate-id", "process-range", "op", "target-range", "no-trigger",
+        "negative-at", "document", "entry-missing-op",
+        "adversary-missing-name"])
+def test_out_of_range_scenario_values_are_scenario_errors(tmp_path, capsys,
+                                                          doc, message):
+    assert_scenario_error(tmp_path, capsys, doc, message)

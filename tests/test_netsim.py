@@ -383,13 +383,17 @@ class TestAdversarySendCap:
 
 
 class TestScenarioRoundTrip:
-    def test_to_dict_from_dict_is_identity(self):
-        cfg = small_scenario(
-            scheduler="ADVERSARIAL_REORDER",
-            adversary=AdversarySpec("COLLUDE_DELAY", (3,),
-                                    {"favored": 1, "victim": 2}),
-            mutations=frozenset({"NO_CATCH_UP"}))
-        clone = ScenarioConfig.from_dict(cfg.to_dict())
+    @pytest.mark.parametrize("fields", [
+        dict(scheduler="ADVERSARIAL_REORDER",
+             adversary=AdversarySpec("COLLUDE_DELAY", (3,),
+                                     {"favored": 1, "victim": 2}),
+             mutations=frozenset({"NO_CATCH_UP"})),
+        dict(n=3, allow_t_violation=True, expect_nonterminating=True,
+             fairness_bound=5, step_budget=50),
+    ], ids=["adversary", "flags"])
+    def test_to_dict_from_dict_is_identity(self, fields):
+        cfg = small_scenario(**fields)
+        clone = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert clone == cfg
 
 

@@ -259,6 +259,13 @@ class TestCatchUp:
         # unrelated traffic still served
         assert node.handle(3, ReadReq(2, 1)) != []
 
+    def test_waiting_request_is_diagnosed(self):
+        node = make_node()
+        rdeliver(node, 2, "a", 1)
+        node.handle(1, CatchUp(2, 4))
+        assert node.guard_diagnostics() == [
+            "p0: catch-up to sn 4 of reg[2] for p1 waiting (local sn 1)"]
+
 
 class TestReadCompletion:
     def _reading_node(self):
@@ -296,6 +303,12 @@ class TestReadCompletion:
         node.handle(0, CatchUpDone(2, 1))
         node.handle(0, CatchUpDone(2, 1))
         assert len(node.pending_read.acks) == 1
+
+    def test_missing_catch_up_acks_are_diagnosed(self):
+        node = self._reading_node()
+        node.handle(3, CatchUpDone(2, 1))
+        assert node.guard_diagnostics() == [
+            "p0: read of reg[2] has 1/3 catch-up acks"]
 
 
 class TestMonotonicity:
