@@ -7,7 +7,8 @@ Subcommands:
 * ``sweep``   seed range with aggregate statistics (run outcomes, verdicts)
               and a message-cost table over completed operations;
               reports the first failing seed with a replay command.
-* ``replay``  re-run one (scenario, seed) pair and print its trace hash.
+* ``replay``  ``run`` for one seed, always printing its trace hash and
+              verdicts.
 * ``list``    bundled scenario names.
 
 A scenario argument is a path to a JSON file, or the name of a bundled
@@ -66,12 +67,8 @@ def parse_seeds(args, default: int) -> list[int]:
 
 
 def load_with_overrides(args) -> ScenarioConfig:
-    """Resolve the scenario, apply the CLI flag overrides, then validate."""
+    """Resolve the scenario, add the --mutate mutations, then validate."""
     cfg = resolve_scenario(args.scenario)
-    if args.allow_t_violation:
-        cfg.allow_t_violation = True
-    if args.expect_nonterminating:
-        cfg.expect_nonterminating = True
     cfg.mutations |= frozenset(args.mutate or ())
     cfg.validate()
     return cfg
@@ -122,6 +119,8 @@ def cmd_run(args) -> int:
             write_artifacts(Path(args.out), trace, report)
         status = "ok" if ok else "FAILED"
         print(f"{cfg.name} seed={seed} outcome={trace.outcome} {status}")
+        if args.verbose:
+            print(f"trace_hash={trace.trace_hash()}")
         if args.verbose or not ok:
             for line in report.summary_lines():
                 print(f"  {line}")
@@ -175,7 +174,8 @@ def cmd_sweep(args) -> int:
         seed, trace, report = first_failure
         doc["first_failure"] = report_doc(trace, report)
         print(f"  FIRST FAILURE at seed {seed}; replay with:")
-        print(f"    byzreg replay {args.scenario} --seed {seed}")
+        mutate = "".join(f" --mutate {m}" for m in args.mutate or ())
+        print(f"    byzreg replay {args.scenario} --seed {seed}{mutate}")
         if args.out:
             write_artifacts(Path(args.out), trace, report)
     if args.out:
@@ -184,19 +184,6 @@ def cmd_sweep(args) -> int:
         (out_dir / f"{cfg.name}-sweep.json").write_text(
             json.dumps(doc, indent=2, default=str) + "\n")
     return 0 if first_failure is None else 1
-
-
-def cmd_replay(args) -> int:
-    cfg = load_with_overrides(args)
-    seed = args.seed if args.seed is not None else cfg.seed
-    trace, report = run_one(cfg, seed)
-    print(f"{cfg.name} seed={seed} outcome={trace.outcome}")
-    print(f"trace_hash={trace.trace_hash()}")
-    for line in report.summary_lines():
-        print(f"  {line}")
-    if args.out:
-        write_artifacts(Path(args.out), trace, report)
-    return 0 if report.ok() else 1
 
 
 def cmd_list(_args) -> int:
@@ -212,27 +199,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "and trace checker")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(name, summary, func):
+    def common(name, summary, func, seed_range=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func, parser=p)
         p.add_argument("scenario", help="scenario file or bundled name")
-        p.add_argument("--seed", type=int, default=None)
+        seeds = p.add_mutually_exclusive_group() if seed_range else p
+        seeds.add_argument("--seed", type=int, default=None)
+        if seed_range:
+            seeds.add_argument("--seeds", help="seed range A:B (B exclusive)")
         p.add_argument("--out", help="directory for traces and reports")
-        p.add_argument("--allow-t-violation", action="store_true",
-                       help="run even when n <= 3t")
-        p.add_argument("--expect-nonterminating", action="store_true",
-                       help="a non-quiescent run is not a failure")
         p.add_argument("--mutate", action="append",
                        help="enable a protocol mutation (repeatable)")
         return p
 
-    seeds_help = "seed range A:B (B exclusive)"
     p_run = common("run", "run a scenario and check every property", cmd_run)
-    p_run.add_argument("--seeds", help=seeds_help)
-    p_run.add_argument("-v", "--verbose", action="store_true")
-    common("sweep", "run a seed range, aggregate verdicts",
-           cmd_sweep).add_argument("--seeds", help=seeds_help)
-    common("replay", "re-run one seed, print trace hash", cmd_replay)
+    p_run.add_argument("-v", "--verbose", action="store_true",
+                       help="print each seed's trace hash and verdicts")
+    common("sweep", "run a seed range, aggregate verdicts", cmd_sweep)
+    common("replay", "re-run one seed, print trace hash and verdicts",
+           cmd_run, seed_range=False).set_defaults(seeds=None, verbose=True)
 
     p_list = sub.add_parser("list", help="list bundled scenarios")
     p_list.set_defaults(func=cmd_list, parser=p_list)

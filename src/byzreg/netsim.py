@@ -143,7 +143,6 @@ class Trace:
     byzantine: tuple[int, ...]
     step_budget: int
     outcome: str
-    expect_nonterminating: bool
     # one Event per record, in seq order; SEND and DELIVER payloads are
     # the Message objects themselves, shared between records (see the
     # module docstring), and every payload must be treated as read-only
@@ -169,7 +168,6 @@ class Trace:
             "outcome": self.outcome,
             "adversary": self.adversary,
             "step_budget": self.step_budget,
-            "expect_nonterminating": self.expect_nonterminating,
             "diagnostics": self.diagnostics,
         }
 
@@ -535,7 +533,6 @@ class Simulation:
             byzantine=tuple(sorted(self.byzantine)),
             step_budget=self.scenario.step_budget,
             outcome=outcome,
-            expect_nonterminating=self.scenario.expect_nonterminating,
             events=self.events,
             diagnostics=self._diagnostics(outcome))
 

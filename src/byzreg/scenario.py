@@ -55,7 +55,6 @@ class ScenarioConfig:
     step_budget: int = 200_000
     mutations: frozenset[str] = frozenset()
     allow_t_violation: bool = False
-    expect_nonterminating: bool = False
 
     def byzantine_nodes(self) -> frozenset[int]:
         return frozenset(self.adversary.nodes) if self.adversary else frozenset()
@@ -75,6 +74,11 @@ class ScenarioConfig:
             raise ScenarioError("n must be positive")
         if self.t < 0:
             raise ScenarioError("t must be non-negative")
+        if self.t >= self.n:
+            # whatever allow_t_violation says: a quorum of n - t processes
+            # must not be empty
+            raise ScenarioError(
+                f"t must be less than n (got n={self.n}, t={self.t})")
         if self.n <= 3 * self.t and not self.allow_t_violation:
             raise ScenarioError(
                 f"n > 3t required (got n={self.n}, t={self.t}); "
@@ -216,8 +220,7 @@ class ScenarioConfig:
 _SCENARIO_KINDS = {
     "name": str, "n": int, "t": int, "seed": int, "scheduler": str,
     "workload": list, "adversary": dict, "fairness_bound": int,
-    "step_budget": int, "mutations": list, "allow_t_violation": bool,
-    "expect_nonterminating": bool}
+    "step_budget": int, "mutations": list, "allow_t_violation": bool}
 _ENTRY_KINDS = {"id": str, "process": int, "op": str, "value": SCALAR,
                 "target": int, "at": int, "after": str}
 _ADVERSARY_KINDS = {"name": str, "nodes": list, "params": dict}

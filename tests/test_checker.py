@@ -29,8 +29,7 @@ from test_netsim import event
 def make_trace(events, n=4, t=1, byz=(), outcome="QUIESCENT"):
     return Trace(scenario_name="synthetic", n=n, t=t, seed=0,
                  scheduler="RANDOM", adversary=None, byzantine=tuple(byz),
-                 step_budget=1000, outcome=outcome,
-                 expect_nonterminating=False, events=list(events))
+                 step_budget=1000, outcome=outcome, events=list(events))
 
 
 _seq = itertools.count()

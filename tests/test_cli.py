@@ -83,6 +83,17 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
             f"{' '.join(argv[2:])}") in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_and_seed_range_are_exclusive(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "abd-style-fault-free", "--seed", "1",
+              "--seeds", "0:2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: byzreg {command} ")
+    assert "argument --seeds: not allowed with argument --seed" in err
+
+
 class ClosedStdout(io.StringIO):
     """A stdout whose reader has gone, as at the end of `| head -1`.
 
@@ -152,6 +163,11 @@ def test_sweep_reports_first_failure_and_replay_command(capsys):
     out = capsys.readouterr().out
     assert "FIRST FAILURE" in out
     assert "byzreg replay read-inversion-window --seed" in out
+    # the printed command keeps the --mutate flags, so it fails the same way
+    command = out.split("replay with:\n")[1].split()
+    assert command[-2:] == ["--mutate", "NO_CATCH_UP"]
+    assert main(command[1:]) == 1
+    assert "no-read-inversion: FAIL" in capsys.readouterr().out
 
 
 def test_sweep_prints_cost_table(capsys):
@@ -189,10 +205,11 @@ def test_sweep_costs_count_only_completed_operations(tmp_path, capsys):
     # every run is stuck and no operation has a cost to report
     cfg = ScenarioConfig(name="n3-crash", n=3, t=1,
                          workload=standard_workload(3, frozenset({2}), False),
-                         adversary=AdversarySpec("CRASH_SILENT", (2,)))
+                         adversary=AdversarySpec("CRASH_SILENT", (2,)),
+                         allow_t_violation=True)
     path = tmp_path / "n3.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    assert main(["sweep", str(path), "--seeds", "0:3", "--allow-t-violation",
+    assert main(["sweep", str(path), "--seeds", "0:3",
                  "--out", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "outcomes: STUCK=3" in out
@@ -212,29 +229,29 @@ def test_random_schedules_respect_cost_bounds(capsys):
     assert "max=40 bound=40" in write_line
 
 
-def test_allow_t_violation_flag(tmp_path):
+def test_t_violation_is_a_document_field(tmp_path, capsys):
     doc = {
         "name": "tight", "n": 3, "t": 1,
         "workload": [
             {"id": "w1", "process": 0, "op": "write", "value": "x", "at": 0}],
+        "adversary": {"name": "CRASH_SILENT", "nodes": [2]},
     }
     path = tmp_path / "tight.json"
     path.write_text(json.dumps(doc))
-    assert main(["run", str(path)]) == 2  # rejected without the flag
-    code = main(["run", str(path), "--allow-t-violation"])
-    assert code in (0, 1)  # runs; properties may or may not survive
-
-
-def test_expect_nonterminating_downgrades_budget_exhaustion(tmp_path, capsys):
-    doc = {
-        "name": "short-budget", "n": 4, "t": 1, "step_budget": 5,
-        "workload": [
-            {"id": "w1", "process": 0, "op": "write", "value": "x", "at": 0}],
-    }
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert "n > 3t required" in capsys.readouterr().err
+    path.write_text(json.dumps({**doc, "allow_t_violation": True}))
+    # with p2 silent the write never completes: the run ends STUCK, and a
+    # run that does not finish fails
     assert main(["run", str(path)]) == 1
-    assert main(["run", str(path), "--expect-nonterminating"]) == 0
+    out = capsys.readouterr().out
+    assert "NONTERMINATING" in out
+    assert ": FAIL" not in out
+    path.write_text(json.dumps({**doc, "allow_t_violation": True,
+                                "expect_nonterminating": True}))
+    assert main(["run", str(path)]) == 2
+    assert ("unknown scenario fields: ['expect_nonterminating']"
+            in capsys.readouterr().err)
 
 
 def small_doc(**fields):
@@ -406,6 +423,9 @@ def with_adversary(*nodes, **fields):
 @pytest.mark.parametrize("doc, message", [
     (small_doc(n=0), "n must be positive"),
     (small_doc(t=-1), "t must be non-negative"),
+    *[(small_doc(n=3, t=t, allow_t_violation=True,
+                 adversary={"name": "READY_POISON", "nodes": [2]}),
+       f"t must be less than n (got n=3, t={t})") for t in (4, 3)],
     (small_doc(scheduler="LIFO"), "unknown scheduler 'LIFO'"),
     (small_doc(fairness_bound=0), "fairness_bound must be at least 1"),
     (small_doc(step_budget=0), "step_budget must be at least 1"),
@@ -427,11 +447,11 @@ def with_adversary(*nodes, **fields):
      "workload entry #0 is missing required field 'op'"),
     (small_doc(adversary={"nodes": [3]}),
      "adversary is missing required field 'name'"),
-], ids=["n", "t", "scheduler", "fairness-bound", "step-budget",
-        "no-adversary-nodes", "adversary-node-range", "adversary-over-t",
-        "duplicate-id", "process-range", "op", "target-range", "no-trigger",
-        "negative-at", "document", "entry-missing-op",
-        "adversary-missing-name"])
+], ids=["n", "t", "t-above-n", "t-equals-n", "scheduler", "fairness-bound",
+        "step-budget", "no-adversary-nodes", "adversary-node-range",
+        "adversary-over-t", "duplicate-id", "process-range", "op",
+        "target-range", "no-trigger", "negative-at", "document",
+        "entry-missing-op", "adversary-missing-name"])
 def test_out_of_range_scenario_values_are_scenario_errors(tmp_path, capsys,
                                                           doc, message):
     assert_scenario_error(tmp_path, capsys, doc, message)

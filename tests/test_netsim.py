@@ -388,8 +388,7 @@ class TestScenarioRoundTrip:
              adversary=AdversarySpec("COLLUDE_DELAY", (3,),
                                      {"favored": 1, "victim": 2}),
              mutations=frozenset({"NO_CATCH_UP"})),
-        dict(n=3, allow_t_violation=True, expect_nonterminating=True,
-             fairness_bound=5, step_budget=50),
+        dict(n=3, allow_t_violation=True, fairness_bound=5, step_budget=50),
     ], ids=["adversary", "flags"])
     def test_to_dict_from_dict_is_identity(self, fields):
         cfg = small_scenario(**fields)
@@ -460,8 +459,7 @@ class TestChannelSemantics:
         ]
         trace = Trace(scenario_name="caf\u00e9", n=2, t=0, seed=0,
                       scheduler="RANDOM", adversary=None, byzantine=(),
-                      step_budget=10, outcome="QUIESCENT",
-                      expect_nonterminating=False, events=events,
+                      step_budget=10, outcome="QUIESCENT", events=events,
                       diagnostics=["\u00fcber"])
         assert trace.jsonl() == reference_jsonl(trace)
 
