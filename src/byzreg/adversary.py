@@ -51,9 +51,10 @@ class AdversaryStrategy:
             setattr(self, key, params.get(key, default))
         self.rng = random.Random(f"{seed}:{self.name}")
 
-    # Under ADVERSARIAL_REORDER, a method mapping a netsim.PendingMessage to
-    # a rank (lowest delivered first), called once per send. None keeps
-    # delivery uniformly random.
+    # Under ADVERSARIAL_REORDER, a method mapping an in-flight message, the
+    # simulator's tuple (id, sender, receiver, payload, enqueue_time,
+    # correct), to a rank (lowest delivered first), called once per send.
+    # None keeps delivery uniformly random.
     delivery_rank = None
 
     def on_workload(self, pid: int,
@@ -238,14 +239,15 @@ class ColludeDelay(AdversaryStrategy):
         return [e for e in self.inner[pid].handle(sender, payload)
                 if isinstance(e, (Send, Broadcast))]
 
-    def delivery_rank(self, msg) -> int:
-        tag = msg.payload.tag
+    def delivery_rank(self, msg: tuple) -> int:
+        receiver, payload = msg[2], msg[3]
+        tag = payload.tag
         if tag in ("APP", "ECHO"):
             return 0
         if tag == "READY":
-            if msg.receiver == self.favored:
+            if receiver == self.favored:
                 return 0
-            return 3 if msg.receiver == self.victim else 2
+            return 3 if receiver == self.victim else 2
         return 1
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 from .errors import TraceError
 from .messages import Value
-from .netsim import Trace
+from .netsim import Trace, _gc_paused
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -126,6 +126,10 @@ class History:
 # history derivation
 # ---------------------------------------------------------------------------
 
+# tags of the sends charged by their receiver: acks and replies
+_BY_RECEIVER = frozenset({"WRITE_DONE", "STATE", "CATCH_UP_DONE"})
+
+
 def derive_histories(trace: Trace) -> History:
     """Gather what the checks need from the trace's event records.
 
@@ -139,6 +143,12 @@ def derive_histories(trace: Trace) -> History:
     * read requests and state replies to the read they quote;
     * catch-up traffic to the requester's latest read of that register
       started before the send.
+
+    The tables these lookups read change only at an OP_START, so each
+    further SEND of one broadcast batch (the same payload object from the
+    same correct sender) is charged where the first one was, without a
+    second lookup, unless its op depends on the receiver (WRITE_DONE,
+    STATE, CATCH_UP_DONE).
 
     Per-writer histories and agreement then come from the deliveries, and
     one pass over the operations groups them by register and resolves
@@ -159,10 +169,19 @@ def derive_histories(trace: Trace) -> History:
     broadcasts: dict[tuple[int, int], set[Value]] = {}
     first_app_seq: dict[tuple[int, int], int] = {}
     unattributed = 0
+    # the current broadcast batch: its payload, sender and tag, and the
+    # sends per tag of the op it is charged to (None: unattributed)
+    batch = batch_sender = tag = batch_counts = None
     for seq, _, kind, node, sender, receiver, p in trace.events:
         if kind == "DELIVER":  # about half the records; none is needed
             continue
         if kind == "SEND":
+            if p is batch and sender == batch_sender:
+                if batch_counts is None:
+                    unattributed += 1
+                else:
+                    batch_counts[tag] += 1
+                continue
             if sender not in correct:
                 continue
             tag = p.tag
@@ -186,13 +205,20 @@ def derive_histories(trace: Trace) -> History:
                 op = latest.get(("READ", receiver, p.target))
             if op is None:
                 unattributed += 1  # e.g. replies to a Byzantine requester
+                batch_counts = None
             else:
-                op.counts[tag] = op.counts.get(tag, 0) + 1
+                batch_counts = op.counts
+                batch_counts[tag] = batch_counts.get(tag, 0) + 1
+            if tag in _BY_RECEIVER:
+                batch = None
+            else:
+                batch, batch_sender = p, sender
         elif kind == "RDELIVER":
             if node in correct:
                 deliveries.append((node, p["origin"], p["value"], p["sn"],
                                    seq))
         elif kind == "OP_START":
+            batch = None  # the lookup tables change
             op = OperationRecord(
                 kind=p["op"], op_id=p["id"], invoker=node,
                 target=p["target"], start_seq=seq, end_seq=None,
@@ -655,16 +681,17 @@ class CheckReport:
 
 
 def run_all_checks(trace: Trace) -> CheckReport:
-    history = derive_histories(trace)
-    verdicts = list(history.derivation_verdicts)
-    verdicts.extend(check_safety(history, trace))
-    verdicts.extend(check_rb(history, trace))
-    verdicts.append(check_termination(history, trace))
-    cost = count_messages(history, trace)
-    verdicts.append(cost.verdict)
-    linearizations: dict[int, list[LinItem]] = {}
-    if not any(v.status == FAIL for v in verdicts):
-        linearizations, lin_verdict = build_linearization(history, trace)
-        verdicts.append(lin_verdict)
-    return CheckReport(trace=trace, history=history, verdicts=verdicts,
-                       cost=cost, linearizations=linearizations)
+    with _gc_paused():
+        history = derive_histories(trace)
+        verdicts = list(history.derivation_verdicts)
+        verdicts.extend(check_safety(history, trace))
+        verdicts.extend(check_rb(history, trace))
+        verdicts.append(check_termination(history, trace))
+        cost = count_messages(history, trace)
+        verdicts.append(cost.verdict)
+        linearizations: dict[int, list[LinItem]] = {}
+        if not any(v.status == FAIL for v in verdicts):
+            linearizations, lin_verdict = build_linearization(history, trace)
+            verdicts.append(lin_verdict)
+        return CheckReport(trace=trace, history=history, verdicts=verdicts,
+                           cost=cost, linearizations=linearizations)

@@ -22,7 +22,9 @@ message sent to a correct process is delivered. The outcome is QUIESCENT
 if nothing was set aside, and SETTLED otherwise, with the set-aside count
 in the diagnostics. Without the settle phase, a Byzantine node that
 answers every delivery with more traffic would keep a finished run going
-until the step budget.
+until the step budget. A run ends BUDGET_EXCEEDED only when it has
+spent its step budget while not at rest: a message is still in flight, or
+a workload entry could still start.
 
 Logical time is the number of deliveries so far. Before each delivery
 the simulator starts every workload entry that has become ready: its
@@ -60,20 +62,33 @@ processes 0..k-1 only, k being the room left.
 
 Sends are batched: a node's ``Broadcast`` effect becomes one call that
 puts the message in flight to processes 0..n-1 in pid order, appending
-one SEND record per receiver, each holding the one message object. The
-in-flight pool is two lists: one indexed by message id (None once a
-message is delivered or set aside), which the oldest-message cursors
-walk, and one of the in-flight messages in any order, each holding its
-own index, for the uniform draw and swap-removal. A delivery costs no dict operation on
-either, and ``step`` skips the workload triggers unless one is due.
+one SEND record per receiver, each holding the one message object. An
+in-flight message is a plain tuple, ``(id, sender, receiver, payload,
+enqueue_time, correct)``, correct meaning that sender and receiver are
+both correct. The in-flight pool is two lists: one of the in-flight
+messages in any order, for the uniform draw and swap-removal, and one
+indexed by message id, giving each message's index in the first (None
+once it is delivered or set aside), which the oldest-message cursors
+walk. A delivery costs no dict operation and builds no object besides
+its DELIVER record.
+
+One loop delivers: ``run()`` drives it to the end or to the step budget,
+and ``step()`` is the same loop with a limit of one delivery. Before each
+delivery it asks ``_workload_due`` whether a workload trigger may hold,
+and starts the workload only then. A run builds no reference cycles, so
+the cyclic garbage collector is paused while it lasts (``_gc_paused``):
+its passes would only re-walk the growing trace. Reference counting
+frees a run's records and messages as before.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -115,19 +130,20 @@ class Event(tuple):
         return _get(self, _index[key] if type(key) is str else key)
 
 
-class PendingMessage:
-    __slots__ = ("id", "sender", "receiver", "payload", "enqueue_time",
-                 "correct", "pos")
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector; restore its state on exit.
 
-    def __init__(self, mid: int, sender: int, receiver: int,
-                 payload: Message, enqueue_time: int, correct: bool = True):
-        self.id = mid
-        self.sender = sender
-        self.receiver = receiver
-        self.payload = payload  # also the SEND and DELIVER records' payload
-        self.enqueue_time = enqueue_time
-        self.correct = correct  # sender and receiver are both correct
-        self.pos = -1  # index in Simulation.pool while in flight
+    For the span of a run or of a check, which build no reference cycles:
+    reference counting frees everything they drop.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -223,14 +239,15 @@ class Simulation:
                           for pid in range(self.n)]
         self._room = [sys.maxsize if pid in self.nodes
                       else scenario.send_cap() for pid in range(self.n)]
-        # in flight: self.pool holds the messages in no particular order,
-        # each knowing its own index (pos), so a uniform draw is one index
-        # and _take swaps the last entry into the hole; _by_id[mid] is
-        # message mid while it is in flight and None once it is delivered
-        # or set aside, and two forward cursors over it find the oldest
+        # in flight, each message a tuple (id, sender, receiver, payload,
+        # enqueue_time, correct): self.pool holds them in no particular
+        # order, so a uniform draw is one index and a delivery swaps the
+        # last entry into the hole; _by_id[mid] is message mid's index in
+        # the pool while it is in flight and None once it is delivered or
+        # set aside, and two forward cursors over it find the oldest
         # message and the oldest message between correct processes
-        self.pool: list[PendingMessage] = []
-        self._by_id: list[PendingMessage | None] = []
+        self.pool: list[tuple] = []
+        self._by_id: list[int | None] = []
         self._low = 0  # no id below this is still in flight
         self._low_correct = 0  # likewise, between correct processes
         # ADVERSARIAL_REORDER: heap of (strategy rank, id), ranked at send
@@ -240,6 +257,7 @@ class Simulation:
         self._fairness = scenario.fairness_bound
         self._fifo = scenario.scheduler == "FIFO"
         self.time = 0
+        self._delivered = 0  # deliveries so far, step()'s included
         self._seq = 0
         self.events: list[Event] = []
         self.halted = False
@@ -277,9 +295,10 @@ class Simulation:
 
         One SEND record per receiver, all holding the payload object, and
         one message id each, issued in order: a message's id is its index
-        in _by_id.
+        in _by_id, which holds its index in the pool. Receivers must be
+        pids in [0, n): a Broadcast's are by construction, and
+        _process_effects checks a Send's.
         """
-        n = self.n
         events, time = self.events, self.time
         pool, by_id = self.pool, self._by_id
         byzantine = self.byzantine
@@ -288,9 +307,6 @@ class Simulation:
         seq, mid = self._seq, len(by_id)
         new = tuple.__new__
         for receiver in receivers:
-            if not 0 <= receiver < n:
-                self._seq = seq
-                raise ValueError(f"receiver {receiver} out of range")
             # fields in EVENT_FIELDS order, as in _record
             events.append(new(Event, (seq, time, "SEND", sender, sender,
                                       receiver, payload)))
@@ -301,59 +317,61 @@ class Simulation:
                     by_id.append(None)
                     mid += 1
                     continue
-                msg = PendingMessage(mid, sender, receiver, payload, time,
-                                     False)
+                msg = (mid, sender, receiver, payload, time, False)
             else:
-                msg = PendingMessage(mid, sender, receiver, payload, time)
-            msg.pos = len(pool)
+                msg = (mid, sender, receiver, payload, time, True)
+            by_id.append(len(pool))
             pool.append(msg)
-            by_id.append(msg)
             if rank is not None:
                 heapq.heappush(self._ranked, (rank(msg), mid))
             mid += 1
         self._seq = seq
 
-    def _take(self, msg: PendingMessage) -> None:
-        """Take an in-flight message out of flight."""
-        self._by_id[msg.id] = None
-        pool = self.pool
+    def _take(self, msg: tuple) -> None:
+        """Take an in-flight message out of flight, as _deliver does."""
+        pool, by_id = self.pool, self._by_id
+        mid = msg[0]
         last = pool.pop()
         if last is not msg:
-            pool[msg.pos] = last
-            last.pos = msg.pos
+            at = by_id[mid]
+            pool[at] = last
+            by_id[last[0]] = at
+        by_id[mid] = None
 
-    def _oldest_correct(self) -> PendingMessage | None:
+    def _oldest_correct(self) -> tuple | None:
         """The oldest in-flight message between correct processes, or None."""
-        by_id, low = self._by_id, self._low_correct
+        pool, by_id, low = self.pool, self._by_id, self._low_correct
         top = len(by_id)
         while low < top:
-            msg = by_id[low]
-            if msg is not None and msg.correct:
+            at = by_id[low]
+            if at is not None and pool[at][5]:
                 self._low_correct = low
-                return msg
+                return pool[at]
             low += 1
         self._low_correct = low
         return None
 
     def _drop_to(self, receivers: frozenset[int]) -> int:
         """Take every message to receivers out of flight, in id order."""
-        doomed = [msg for msg in self._by_id[self._low:]
-                  if msg is not None and msg.receiver in receivers]
+        pool = self.pool
+        doomed = [pool[at] for at in self._by_id[self._low:]
+                  if at is not None and pool[at][2] in receivers]
         for msg in doomed:
             self._take(msg)
         return len(doomed)
 
-    def _choose(self) -> PendingMessage:
-        by_id, low = self._by_id, self._low
+    def _choose(self) -> tuple:
+        """The scheduler's draw: the in-flight message to deliver next."""
+        pool, by_id, low = self.pool, self._by_id, self._low
         while by_id[low] is None:
             low += 1
         self._low = low
-        oldest = by_id[low]
-        if self.time - oldest.enqueue_time >= self._fairness:
-            if not oldest.correct:
+        oldest = pool[by_id[low]]
+        if self.time - oldest[4] >= self._fairness:
+            if not oldest[5]:
                 # an overdue message between correct processes goes first
                 first = self._oldest_correct()
-                if first is not None and (self.time - first.enqueue_time
+                if first is not None and (self.time - first[4]
                                           >= self._fairness):
                     return first
             return oldest
@@ -363,12 +381,11 @@ class Simulation:
         # lowest rank first, skipping ids the fairness rule already delivered
         ranked = self._ranked
         while ranked:
-            msg = by_id[heapq.heappop(ranked)[1]]
-            if msg is not None:
-                return msg
+            at = by_id[heapq.heappop(ranked)[1]]
+            if at is not None:
+                return pool[at]
         # uniform over the pool: rng.randrange(len(pool)) inlined, drawing
         # the same bits, without its two Python frames
-        pool = self.pool
         size = len(pool)
         getrandbits = self.rng.getrandbits
         bits = size.bit_length()
@@ -390,6 +407,8 @@ class Simulation:
             elif kind is Send:
                 if room:
                     room -= 1
+                    if not 0 <= eff.dest < self.n:
+                        raise ValueError(f"receiver {eff.dest} out of range")
                     self._send(pid, (eff.dest,), eff.payload)
             elif kind is RDeliver:
                 self._record("RDELIVER", pid, eff.origin, pid,
@@ -481,6 +500,58 @@ class Simulation:
 
     # -- main loop ------------------------------------------------------------------
 
+    def _workload_due(self) -> bool:
+        """Whether a workload entry may be ready to start, before a delivery.
+
+        True when an entry's triggers are met or its "at" time has come;
+        _fire_workload then starts what it can.
+        """
+        timed = self._timed
+        if self._ready or timed and timed[0][0] <= self.time:
+            return True
+        return False
+
+    def _deliver(self, limit: int) -> Event | None:
+        """The delivery loop: deliver up to limit messages.
+
+        Before each delivery, starts the workload if an entry is due. Stops
+        early when nothing is in flight. Returns the last DELIVER record,
+        or None if there was none.
+        """
+        pool, by_id = self.pool, self._by_id
+        events, handlers = self.events, self._handlers
+        due, choose = self._workload_due, self._choose
+        new = tuple.__new__
+        event = None
+        count = 0
+        while count < limit:
+            if due():
+                self._fire_workload()
+            if not pool:
+                break
+            msg = choose()
+            mid, sender, receiver, payload, _, _ = msg
+            # out of flight, as _take: the last pool entry fills the hole
+            last = pool.pop()
+            if last is not msg:
+                at = by_id[mid]
+                pool[at] = last
+                by_id[last[0]] = at
+            by_id[mid] = None
+            self.time = time = self.time + 1
+            seq = self._seq
+            self._seq = seq + 1
+            # fields in EVENT_FIELDS order, as in _record
+            event = new(Event, (seq, time, "DELIVER", receiver, sender,
+                                receiver, payload))
+            events.append(event)
+            effects = handlers[receiver](sender, payload)
+            if effects:  # most deliveries change nothing visible
+                self._process_effects(receiver, effects)
+            count += 1
+        self._delivered += count
+        return event
+
     def step(self) -> Event | None:
         """Deliver one message; returns its DELIVER event, or None at rest.
 
@@ -488,39 +559,30 @@ class Simulation:
         """
         if self.halted:
             raise SimulationClosedError("cannot step after the run halted")
-        timed = self._timed
-        if self._ready or (timed and timed[0][0] <= self.time):
-            self._fire_workload()
-        if not self.pool:
-            return None
-        msg = self._choose()
-        self._take(msg)
-        self.time += 1
-        sender, receiver, payload = msg.sender, msg.receiver, msg.payload
-        event = self._record("DELIVER", receiver, sender, receiver, payload)
-        effects = self._handlers[receiver](sender, payload)
-        if effects:  # most deliveries change nothing visible
-            self._process_effects(receiver, effects)
-        return event
+        return self._deliver(1)
 
     def run(self) -> Trace:
-        deliveries = 0
-        while True:
-            if deliveries >= self.scenario.step_budget:
-                outcome = OUTCOME_BUDGET
-                break
-            if self.step() is not None:
-                deliveries += 1
-                continue
-            if self._advance_idle_time():
-                continue
-            if self._open:
-                outcome = OUTCOME_STUCK
-            elif self._aside:
-                outcome = OUTCOME_SETTLED
-            else:
-                outcome = OUTCOME_QUIESCENT
-            break
+        """Deliver until the run is at rest or has spent its step budget.
+
+        The budget counts every delivery of the run, step()'s included.
+        """
+        if self.halted:
+            raise SimulationClosedError("cannot run after the run halted")
+        with _gc_paused():
+            budget = self.scenario.step_budget
+            while True:
+                self._deliver(budget - self._delivered)
+                spent = self._delivered >= budget
+                if spent or not self._advance_idle_time():
+                    break
+        if spent and not self._at_rest():
+            outcome = OUTCOME_BUDGET
+        elif self._open:
+            outcome = OUTCOME_STUCK
+        elif self._aside:
+            outcome = OUTCOME_SETTLED
+        else:
+            outcome = OUTCOME_QUIESCENT
         for pid in sorted(self.nodes):
             self._record("FINAL", pid, None, None, self.nodes[pid].digest())
         self.halted = True
@@ -535,6 +597,19 @@ class Simulation:
             outcome=outcome,
             events=self.events,
             diagnostics=self._diagnostics(outcome))
+
+    def _at_rest(self) -> bool:
+        """Nothing is in flight and no workload entry can start.
+
+        An entry that is ready, or waits only for its "at" time, can start
+        unless its process is busy with an operation that, with nothing in
+        flight, never ends.
+        """
+        if self.pool:
+            return False
+        workload, running = self.scenario.workload, self._running
+        waiting = [*self._ready, *(index for _, index in self._timed)]
+        return all(workload[index].process in running for index in waiting)
 
     def _advance_idle_time(self) -> bool:
         """On an idle network, jump to the next time-triggered entry."""

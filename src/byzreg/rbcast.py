@@ -118,7 +118,7 @@ class ReliableBroadcast:
     # -- server side ------------------------------------------------------
 
     def on_app(self, origin: int, value: Value,
-               sn: int) -> list[Broadcast | RDeliver]:
+               sn: int) -> list[Broadcast]:
         """First APP for (origin, sn) is recorded; duplicates are dropped."""
         apps = self.first_app[origin]
         head = self.next_sn[origin]
@@ -133,7 +133,7 @@ class ReliableBroadcast:
         return []
 
     def on_echo(self, origin: int, value: Value, sn: int,
-                sender: int) -> list[Broadcast | RDeliver]:
+                sender: int) -> list[Broadcast]:
         if not 0 <= origin < self.n or sn < self.next_sn[origin]:
             return []
         key = (origin, sn)

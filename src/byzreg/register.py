@@ -133,12 +133,13 @@ class RegisterNode:
             raise TypeError(f"unknown message type {type(msg).__name__}")
         return handler(self, sender, msg)
 
+    # an APP or ECHO never completes an instance, so neither handler's
+    # output holds an RDeliver for _lift to apply
     def _on_app(self, sender: int, msg: App) -> list[Effect]:
-        return self._lift(self.rb.on_app(sender, msg.value, msg.sn))
+        return self.rb.on_app(sender, msg.value, msg.sn)
 
     def _on_echo(self, sender: int, msg: Echo) -> list[Effect]:
-        return self._lift(self.rb.on_echo(msg.origin, msg.value, msg.sn,
-                                          sender))
+        return self.rb.on_echo(msg.origin, msg.value, msg.sn, sender)
 
     def _on_ready(self, sender: int, msg: Ready) -> list[Effect]:
         return self._lift(self.rb.on_ready(msg.origin, msg.value, msg.sn,

@@ -8,6 +8,7 @@ import itertools
 from byzreg.checker import LinItem, validate_linearization
 from byzreg.messages import Message
 from byzreg.netsim import Simulation
+from byzreg.rbcast import Send
 
 
 def brute_force_linearizable(items: list[LinItem]) -> bool:
@@ -46,5 +47,5 @@ def enqueue(sim: Simulation, sender: int, receiver: int,
             payload: Message) -> int:
     """Put one message in flight, as a node's Send would; returns its id."""
     mid = len(sim._by_id)
-    sim._send(sender, (receiver,), payload)
+    sim._process_effects(sender, [Send(receiver, payload)])
     return mid

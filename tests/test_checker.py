@@ -16,7 +16,7 @@ from byzreg.checker import (FAIL, PASS, VACUOUS, History, LinItem,
                             validate_linearization)
 from byzreg.cli import resolve_scenario
 from byzreg.errors import TraceError
-from byzreg.messages import App
+from byzreg.messages import App, CatchUp, WriteDone
 from byzreg.netsim import Simulation, Trace
 from byzreg.scenario import ScenarioConfig, WorkloadOp, matrix_scenario
 from helpers import (brute_force_linearizable, min_quorum_intersection,
@@ -669,6 +669,25 @@ class TestCostAccounting:
         assert report.verdict.status == PASS
         assert report.unattributed == 0
 
+    def test_repeated_payload_is_charged_as_a_lookup_would(self):
+        """A payload object sent again after an OP_START, or a reply whose
+        op depends on its receiver, is not charged as one batch."""
+        catch_up, ack = CatchUp(0, 1), WriteDone(1)
+
+        def send(payload, receiver):
+            return ev("SEND", 1, payload, receiver=receiver)
+
+        history = derive_histories(make_trace([
+            op_start(0, "WRITE", "w0", 0), op_start(2, "WRITE", "w2", 2),
+            op_start(1, "READ", "r1", 0),
+            send(ack, 0), send(ack, 2),
+            send(catch_up, 0), send(catch_up, 1),
+            op_start(1, "READ", "r2", 0),
+            send(catch_up, 2)]))
+        assert {op.op_id: op.counts for op in history.ops} == {
+            "w0": {"WRITE_DONE": 1}, "w2": {"WRITE_DONE": 1},
+            "r1": {"CATCH_UP": 2}, "r2": {"CATCH_UP": 1}}
+        assert history.unattributed == 0
 
     def test_catch_up_attribution_matches_linear_walk(self):
         """Catch-up sends go to the requester's latest read of that register

@@ -1,14 +1,15 @@
 """Simulator behavior: determinism, fairness, lifecycle, channel semantics."""
 import collections
 import dataclasses
+import gc
 import json
 
 import pytest
 
 from byzreg.adversary import STRATEGIES, AckForge, ReadyPoison
 from byzreg.checker import run_all_checks
-from byzreg.cli import bundled_scenario_names, resolve_scenario
-from byzreg.errors import ScenarioError, SimulationClosedError
+from byzreg.cli import bundled_scenario_names, resolve_scenario, run_one
+from byzreg.errors import ScenarioError, SimulationClosedError, TraceError
 from byzreg.messages import Echo, Message, WriteDone
 from byzreg.netsim import EVENT_FIELDS, Event, Simulation, Trace
 from byzreg.rbcast import Broadcast, Send
@@ -16,6 +17,9 @@ from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
                              matrix_scenario)
 from helpers import enqueue
 from test_golden_traces import reference_jsonl
+
+# fields of an in-flight message, Simulation's tuple
+ID, SENDER, RECEIVER, _, SENT, CORRECT = range(6)
 
 
 def event(**fields) -> Event:
@@ -91,8 +95,8 @@ class TestEnqueue:
         assert all(e["payload"] is echo for e in sends)
         assert echo.to_wire() == {"tag": "ECHO", "origin": 1, "value": "x",
                                   "sn": 1}
-        assert [sim._by_id[mid].receiver for mid in range(1, 5)] == [
-            0, 1, 2, 3]
+        in_flight = [sim.pool[sim._by_id[mid]] for mid in range(1, 5)]
+        assert [msg[RECEIVER] for msg in in_flight] == [0, 1, 2, 3]
 
 
 class TestLifecycle:
@@ -184,55 +188,57 @@ class TestInFlightPool:
 
     @staticmethod
     def take(sim, mid):
-        msg = sim._by_id[mid]
+        msg = sim.pool[sim._by_id[mid]]
         sim._take(msg)
         return msg
 
     @staticmethod
     def assert_consistent(sim):
-        """pool and _by_id hold the same messages; each knows its pos."""
+        """_by_id gives each message in the pool its index there."""
         pool, by_id = sim.pool, sim._by_id
-        assert all(pool[m.pos] is m for m in pool)
-        assert sorted(m.id for m in pool) == [
-            mid for mid, m in enumerate(by_id) if m is not None]
-        assert all(m is None or m.id == mid for mid, m in enumerate(by_id))
-        assert all(m is None for m in by_id[:sim._low])
+        assert all(pool[by_id[m[ID]]] is m for m in pool)
+        assert sorted(m[ID] for m in pool) == [
+            mid for mid, at in enumerate(by_id) if at is not None]
+        assert all(m[CORRECT] is (m[SENDER] not in sim.byzantine
+                                  and m[RECEIVER] not in sim.byzantine)
+                   for m in pool)
+        assert all(at is None for at in by_id[:sim._low])
 
     def test_oldest_after_out_of_order_removals(self):
         sim = self.sim_with([1] * 6)
         for mid in (2, 0, 4):
             self.take(sim, mid)
-        assert sim._choose().id == 1
+        assert sim._choose()[ID] == 1
         self.take(sim, 1)
-        assert sim._choose().id == 3
+        assert sim._choose()[ID] == 3
         assert enqueue(sim, 0, 1, WriteDone(6)) == 6
         self.take(sim, 3)
-        assert sim._choose().id == 5
+        assert sim._choose()[ID] == 5
         self.take(sim, 5)
-        assert sim._choose().id == 6
+        assert sim._choose()[ID] == 6
         assert len(sim.pool) == 1
 
     def test_oldest_correct_skips_delivered_and_byzantine_messages(self):
         sim = self.sim_with(
             [3, 1, 3, 1, 3],
             adversary=AdversarySpec("CRASH_SILENT", (3,), {}))
-        assert sim._choose().id == 0
-        assert sim._oldest_correct().id == 1
+        assert sim._choose()[ID] == 0
+        assert sim._oldest_correct()[ID] == 1
         self.take(sim, 1)
-        assert sim._oldest_correct().id == 3
+        assert sim._oldest_correct()[ID] == 3
         self.take(sim, 3)
         assert sim._oldest_correct() is None
         assert enqueue(sim, 0, 1, WriteDone(5)) == 5
-        assert sim._oldest_correct().id == 5
+        assert sim._oldest_correct()[ID] == 5
 
     def test_drop_to_removes_only_messages_to_the_receivers(self):
         sim = self.sim_with([(mid + 1) % 3 for mid in range(6)])
         assert sim._drop_to(frozenset({1, 2})) == 4
-        assert sorted(m.id for m in sim.pool) == [2, 5]
+        assert sorted(m[ID] for m in sim.pool) == [2, 5]
         self.assert_consistent(sim)
-        assert sim._choose().id == 2
+        assert sim._choose()[ID] == 2
         self.take(sim, 2)
-        assert sim._choose().id == 5
+        assert sim._choose()[ID] == 5
 
     def test_positions_stay_consistent_through_removes_and_id_gaps(self):
         sim = self.sim_with([], adversary=AdversarySpec("CRASH_SILENT", (3,),
@@ -248,11 +254,11 @@ class TestInFlightPool:
                 assert enqueue(sim, 0, 1, WriteDone(mid)) == mid
                 live.add(mid)
             else:
-                assert self.take(sim, mid).id == mid
+                assert self.take(sim, mid)[ID] == mid
                 live.remove(mid)
-            assert {m.id for m in sim.pool} == live
+            assert {m[ID] for m in sim.pool} == live
             self.assert_consistent(sim)
-        assert sim._choose().id == 9
+        assert sim._choose()[ID] == 9
         assert sim._aside == 4
 
     def test_drop_to_removes_in_id_order(self):
@@ -260,10 +266,10 @@ class TestInFlightPool:
         self.take(sim, 3)
         removed = []
         take = sim._take
-        sim._take = lambda msg: removed.append(msg.id) or take(msg)
+        sim._take = lambda msg: removed.append(msg[ID]) or take(msg)
         assert sim._drop_to(frozenset({1})) == 3
         assert removed == [1, 5, 7]
-        assert sorted(m.id for m in sim.pool) == [0, 2, 4, 6]
+        assert sorted(m[ID] for m in sim.pool) == [0, 2, 4, 6]
 
     def test_oldest_of_empty_pool_raises(self):
         sim = self.sim_with([1, 1])
@@ -286,6 +292,124 @@ class TestInFlightPool:
         assert len(sim._by_id) == sim.time + sim._aside
 
 
+class TestDeliveryLoop:
+    """step() is run()'s delivery loop with a limit of one."""
+
+    @pytest.mark.parametrize("cfg", [
+        matrix_scenario(4, None, 1),
+        small_scenario(scheduler="FIFO", seed=3),
+        matrix_scenario(4, "COLLUDE_DELAY", 2),
+        small_scenario(step_budget=40),
+    ], ids=["random", "fifo", "adversarial-reorder", "budget-stop"])
+    @pytest.mark.parametrize("k", [1, 7, 30])
+    def test_steps_then_run_match_run_alone(self, cfg, k):
+        whole = Simulation(cfg).run()
+        sim = Simulation(cfg)
+        for _ in range(k):
+            sim.step()
+        trace = sim.run()
+        assert trace.outcome == whole.outcome
+        assert trace.trace_hash() == whole.trace_hash()
+
+    def test_budget_stop_case_spends_its_budget(self):
+        trace = Simulation(small_scenario(step_budget=40)).run()
+        assert trace.outcome == "BUDGET_EXCEEDED"
+        assert sum(e["kind"] == "DELIVER" for e in trace.events) == 40
+
+
+class TestStepBudget:
+    """BUDGET_EXCEEDED means the budget stopped a run that was not at rest."""
+
+    @staticmethod
+    def with_budget(budget):
+        cfg = dataclasses.replace(matrix_scenario(4, None, seed=3),
+                                  step_budget=budget)
+        return run_one(cfg, cfg.seed)
+
+    def test_run_ending_at_exactly_its_budget_is_not_cut(self):
+        whole, _ = self.with_budget(100_000)
+        assert whole.outcome == "QUIESCENT"
+        deliveries = sum(e["kind"] == "DELIVER" for e in whole.events)
+        trace, report = self.with_budget(deliveries)
+        assert trace.outcome == "QUIESCENT" and report.ok()
+        assert trace.events == whole.events
+        trace, report = self.with_budget(deliveries - 1)
+        assert trace.outcome == "BUDGET_EXCEEDED" and not report.ok()
+        statuses = {v.prop: v.status for v in report.verdicts}
+        assert statuses["termination"] == "NONTERMINATING"
+
+    def test_stuck_run_at_its_budget_is_stuck(self):
+        # the read can never finish and nothing else can happen, so the
+        # outcome does not depend on whether the budget ran out there
+        cfg = ScenarioConfig(
+            name="stuck", n=4, t=1, seed=0,
+            adversary=AdversarySpec("CRASH_SILENT", (1, 2, 3), {}),
+            workload=[WorkloadOp("r1", 0, "read", target=0, at=0),
+                      WorkloadOp("r2", 0, "read", target=0, at=500)],
+            allow_t_violation=True)
+        cfg.validate()
+        whole = Simulation(cfg).run()
+        assert whole.outcome == "STUCK"
+        deliveries = sum(e["kind"] == "DELIVER" for e in whole.events)
+        cut = Simulation(dataclasses.replace(cfg, step_budget=deliveries))
+        assert cut.run().outcome == "STUCK"
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the cyclic collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestGcPause:
+    """The cyclic collector is paused during a run and a check only."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_and_checks_restore_the_collector_state(self, gc_state,
+                                                       enabled):
+        (gc.enable if enabled else gc.disable)()
+        trace = Simulation(small_scenario()).run()
+        assert gc.isenabled() is enabled
+        run_all_checks(trace)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_when_a_run_raises(self, gc_state,
+                                                 monkeypatch, enabled):
+        monkeypatch.setattr(AckForge, "on_deliver",
+                            lambda self, pid, sender, payload: ["bogus"])
+        cfg = small_scenario(adversary=AdversarySpec("ACK_FORGE", (3,), {}))
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(TypeError, match="unknown effect"):
+            Simulation(cfg).run()
+        assert gc.isenabled() is enabled
+        orphan_end = event(seq=0, time=0, kind="OP_END", node=0, sender=0,
+                           receiver=None,
+                           payload={"op": "WRITE", "id": "w1", "target": 0,
+                                    "value": "x", "sn": 1})
+        trace = Trace(scenario_name="orphan", n=4, t=1, seed=0,
+                      scheduler="RANDOM", adversary=None, byzantine=(),
+                      step_budget=10, outcome="QUIESCENT",
+                      events=[orphan_end])
+        with pytest.raises(TraceError):
+            run_all_checks(trace)
+        assert gc.isenabled() is enabled
+
+    def test_runs_and_checks_leave_no_cyclic_garbage(self, gc_state):
+        """What the pause rests on: reference counting frees a whole run."""
+        cfgs = [resolve_scenario(name).with_seed(0)
+                for name in bundled_scenario_names()]
+        cfgs.append(matrix_scenario(13, "READY_POISON"))
+        gc.collect()
+        gc.disable()  # or a collection between runs could hide a cycle
+        for cfg in cfgs:
+            trace, report = run_one(cfg, cfg.seed)
+            del trace, report
+        assert gc.collect() == 0
+
+
 class TestFairness:
     def test_starved_message_forced_at_bound(self):
         bound = 50
@@ -294,15 +418,15 @@ class TestFairness:
             adversary=AdversarySpec("COLLUDE_DELAY", (3,), {"favored": 1}))
         sim = Simulation(cfg)
         # adversary that always starves the oldest message
-        sim.strategy.delivery_rank = lambda m: -m.id
+        sim.strategy.delivery_rank = lambda m: -m[ID]
         victim_id = None
         while True:
             event = sim.step()
             if event is None:
                 break
             if victim_id is None and len(sim.pool) > 1:
-                oldest = min(sim.pool, key=lambda m: m.id)
-                victim_id, enqueue_time = oldest.id, oldest.enqueue_time
+                oldest = min(sim.pool, key=lambda m: m[ID])
+                victim_id, enqueue_time = oldest[ID], oldest[SENT]
             if victim_id is not None and sim._by_id[victim_id] is None:
                 # delivered exactly when its age reached the bound
                 assert sim.time - enqueue_time <= bound + 1
@@ -325,15 +449,15 @@ class TestFairness:
         byz = sim.byzantine
 
         def is_correct(msg):
-            return msg.sender not in byz and msg.receiver not in byz
+            return msg[SENDER] not in byz and msg[RECEIVER] not in byz
 
-        sim.strategy.delivery_rank = lambda m: (is_correct(m), -m.id)
+        sim.strategy.delivery_rank = lambda m: (is_correct(m), -m[ID])
         choose, waits = sim._choose, []
 
         def timed_choose():
             msg = choose()
             if is_correct(msg):
-                waits.append(sim.time - msg.enqueue_time)
+                waits.append(sim.time - msg[SENT])
             return msg
 
         sim._choose = timed_choose

@@ -1,10 +1,10 @@
 """Workload trigger order: the indexed triggers against a full rescan.
 
-``ReferenceSimulation`` keeps the original trigger logic: on every step,
-whatever the trigger indexes say, it rescans the whole workload in sweeps
-until nothing more fires, and on an idle network it rescans for the next
-time trigger. The simulator must produce byte-identical traces for any
-acyclic workload.
+``ReferenceSimulation`` keeps the original trigger logic: before every
+delivery, whatever the trigger indexes say, it rescans the whole workload
+in sweeps until nothing more fires, and on an idle network it rescans for
+the next time trigger. The simulator must produce byte-identical traces
+for any acyclic workload.
 """
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,11 +17,16 @@ N, T, BYZ = 4, 1, 3
 class ReferenceSimulation(Simulation):
     """Simulation with the workload rescanned from the top on every step."""
 
-    def step(self):
-        # Simulation.step skips _fire_workload unless its trigger indexes
-        # say an entry is due; the reference must not rely on them
-        self._fire_workload()
-        return super().step()
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.rescans = 0
+        self.idle_checks = 0
+
+    def _workload_due(self):
+        # Simulation asks its trigger indexes whether an entry is due and
+        # skips _fire_workload otherwise; the reference must not rely on them
+        self.rescans += 1
+        return True
 
     def _fireable(self, entry: WorkloadOp) -> bool:
         if self._op_state[entry.id] != "waiting":
@@ -65,6 +70,7 @@ class ReferenceSimulation(Simulation):
                                           node.begin_read(entry.target))
 
     def _advance_idle_time(self) -> bool:
+        self.idle_checks += 1
         candidates = []
         for entry in self.scenario.workload:
             if self._op_state[entry.id] != "waiting" or entry.at is None:
@@ -146,9 +152,14 @@ def config(workload, seed):
 @example(PASSED_OUT_OF_ORDER_ONE_PROCESS, 0)
 def test_trigger_order_matches_reference_rescan(workload, seed):
     cfg = config(workload, seed)
-    ref = ReferenceSimulation(cfg).run()
+    reference = ReferenceSimulation(cfg)
+    ref = reference.run()
     got = Simulation(cfg).run()
     assert got.jsonl() == ref.jsonl()
+    # the delivery loop asked the reference's hook before every delivery
+    # and each time the network fell idle, so every start was a rescan
+    delivers = sum(e["kind"] == "DELIVER" for e in ref.events)
+    assert reference.rescans == delivers + reference.idle_checks
 
 
 def test_entries_passed_in_one_sweep_start_in_workload_order():
