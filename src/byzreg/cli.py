@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .checker import CheckReport, cost_bounds, run_all_checks
 from .errors import ScenarioError
-from .netsim import Simulation, Trace
+from .netsim import Simulation, Trace, jsonl_hash
 from .scenario import ScenarioConfig
 
 
@@ -79,12 +79,12 @@ def run_one(cfg: ScenarioConfig, seed: int) -> tuple[Trace, CheckReport]:
     return trace, run_all_checks(trace)
 
 
-def report_doc(trace: Trace, report: CheckReport) -> dict:
+def report_doc(trace: Trace, report: CheckReport, trace_hash: str) -> dict:
     return {
         "scenario": trace.scenario_name,
         "seed": trace.seed,
         "outcome": trace.outcome,
-        "trace_hash": trace.trace_hash(),
+        "trace_hash": trace_hash,
         "verdicts": [
             {"prop": v.prop, "status": v.status, "detail": v.detail,
              "counterexample": list(v.counterexample)}
@@ -99,12 +99,14 @@ def report_doc(trace: Trace, report: CheckReport) -> dict:
     }
 
 
-def write_artifacts(out_dir: Path, trace: Trace, report: CheckReport) -> None:
+def write_artifacts(out_dir: Path, trace: Trace, text: str,
+                    doc: dict) -> None:
+    """Write the trace's JSONL text and its report_doc()."""
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{trace.scenario_name}-seed{trace.seed}"
-    (out_dir / f"{stem}.trace.jsonl").write_text(trace.jsonl())
+    (out_dir / f"{stem}.trace.jsonl").write_text(text)
     (out_dir / f"{stem}.report.json").write_text(
-        json.dumps(report_doc(trace, report), indent=2, default=str) + "\n")
+        json.dumps(doc, indent=2, default=str) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -115,12 +117,16 @@ def cmd_run(args) -> int:
         trace, report = run_one(cfg, seed)
         ok = report.ok()
         failures += 0 if ok else 1
+        if args.out or args.verbose:  # encoded once, to write and to hash
+            text = trace.jsonl()
+            digest = jsonl_hash(text)
         if args.out:
-            write_artifacts(Path(args.out), trace, report)
+            write_artifacts(Path(args.out), trace, text,
+                            report_doc(trace, report, digest))
         status = "ok" if ok else "FAILED"
         print(f"{cfg.name} seed={seed} outcome={trace.outcome} {status}")
         if args.verbose:
-            print(f"trace_hash={trace.trace_hash()}")
+            print(f"trace_hash={digest}")
         if args.verbose or not ok:
             for line in report.summary_lines():
                 print(f"  {line}")
@@ -172,12 +178,14 @@ def cmd_sweep(args) -> int:
     }
     if first_failure is not None:
         seed, trace, report = first_failure
-        doc["first_failure"] = report_doc(trace, report)
+        text = trace.jsonl()
+        doc["first_failure"] = report_doc(trace, report, jsonl_hash(text))
         print(f"  FIRST FAILURE at seed {seed}; replay with:")
         mutate = "".join(f" --mutate {m}" for m in args.mutate or ())
         print(f"    byzreg replay {args.scenario} --seed {seed}{mutate}")
         if args.out:
-            write_artifacts(Path(args.out), trace, report)
+            write_artifacts(Path(args.out), trace, text,
+                            doc["first_failure"])
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -62,15 +62,23 @@ processes 0..k-1 only, k being the room left.
 
 Sends are batched: a node's ``Broadcast`` effect becomes one call that
 puts the message in flight to processes 0..n-1 in pid order, appending
-one SEND record per receiver, each holding the one message object. An
-in-flight message is a plain tuple, ``(id, sender, receiver, payload,
-enqueue_time, correct)``, correct meaning that sender and receiver are
-both correct. The in-flight pool is two lists: one of the in-flight
-messages in any order, for the uniform draw and swap-removal, and one
-indexed by message id, giving each message's index in the first (None
-once it is delivered or set aside), which the oldest-message cursors
-walk. A delivery costs no dict operation and builds no object besides
-its DELIVER record.
+one SEND record per receiver, each holding the one message object. A
+``Send`` effect, one message to one process, is put in flight inline in
+the effect loop, by the same rule, so it pays for no call and no batch
+set-up. An in-flight message is a plain tuple, ``(id, sender, receiver,
+payload, enqueue_time, correct)``, correct meaning that sender and
+receiver are both correct. The in-flight pool is two lists: one of the
+in-flight messages in any order, for the uniform draw and swap-removal,
+and one indexed by message id, giving each message's index in the first
+(None once it is delivered or set aside).
+Two forward cursors walk the second list inside the draw (``_choose``):
+one to the oldest message in flight, one to the oldest message between
+correct processes, the latter only once the oldest message is overdue
+and not between correct processes. A delivery costs no dict operation
+and builds no object besides its DELIVER record. Records are built as
+``Event((...))``; the SEND and DELIVER records, nearly all of a trace,
+are built inline where they happen, every other kind through
+``_record``.
 
 One loop delivers: ``run()`` drives it to the end or to the step budget,
 and ``step()`` is the same loop with a limit of one delivery. Before each
@@ -105,10 +113,11 @@ OUTCOME_BUDGET = "BUDGET_EXCEEDED"
 OUTCOME_STUCK = "STUCK"
 
 # The fields of an event record, in order. _record builds every record
-# except SENDs, which _send builds inline, one per message; Trace.jsonl and
-# checker.derive_histories unpack records by position, and Trace.jsonl
-# formats them through _RECORD, which writes exactly these fields in this
-# order. A field changes here and in all four places at once.
+# except SENDs and DELIVERs, which _send, _process_effects and _deliver
+# build inline; Trace.jsonl and checker.derive_histories unpack records by
+# position, and Trace.jsonl formats them through _RECORD, which writes
+# exactly these fields in this order. A field changes here and in all of
+# these places at once.
 EVENT_FIELDS = ("seq", "time", "kind", "node", "sender", "receiver",
                 "payload")
 _FIELD_INDEX = {name: i for i, name in enumerate(EVENT_FIELDS)}
@@ -212,7 +221,12 @@ class Trace:
         return "\n".join(lines) + "\n"
 
     def trace_hash(self) -> str:
-        return hashlib.sha256(self.jsonl().encode()).hexdigest()
+        return jsonl_hash(self.jsonl())
+
+
+def jsonl_hash(text: str) -> str:
+    """The trace hash of a trace's jsonl() text: its sha256, in hex."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class Simulation:
@@ -281,9 +295,9 @@ class Simulation:
 
     def _record(self, kind: str, node: int, sender, receiver,
                 payload) -> Event:
-        # fields in EVENT_FIELDS order; _send builds SENDs the same way
-        event = tuple.__new__(Event, (self._seq, self.time, kind, node,
-                                      sender, receiver, payload))
+        # fields in EVENT_FIELDS order; SENDs and DELIVERs are built inline
+        event = Event((self._seq, self.time, kind, node, sender, receiver,
+                       payload))
         self._seq += 1
         self.events.append(event)
         return event
@@ -296,8 +310,9 @@ class Simulation:
         One SEND record per receiver, all holding the payload object, and
         one message id each, issued in order: a message's id is its index
         in _by_id, which holds its index in the pool. Receivers must be
-        pids in [0, n): a Broadcast's are by construction, and
-        _process_effects checks a Send's.
+        pids in [0, n): a Broadcast's are by construction. A Send does not
+        come here: _process_effects puts its one message in flight by the
+        same rule, inline.
         """
         events, time = self.events, self.time
         pool, by_id = self.pool, self._by_id
@@ -305,11 +320,10 @@ class Simulation:
         sender_byz = sender in byzantine
         rank = self.strategy.delivery_rank if self._reorder else None
         seq, mid = self._seq, len(by_id)
-        new = tuple.__new__
         for receiver in receivers:
             # fields in EVENT_FIELDS order, as in _record
-            events.append(new(Event, (seq, time, "SEND", sender, sender,
-                                      receiver, payload)))
+            events.append(Event((seq, time, "SEND", sender, sender, receiver,
+                                 payload)))
             seq += 1
             if sender_byz or receiver in byzantine:
                 if receiver in byzantine and self._aside is not None:
@@ -338,19 +352,6 @@ class Simulation:
             by_id[last[0]] = at
         by_id[mid] = None
 
-    def _oldest_correct(self) -> tuple | None:
-        """The oldest in-flight message between correct processes, or None."""
-        pool, by_id, low = self.pool, self._by_id, self._low_correct
-        top = len(by_id)
-        while low < top:
-            at = by_id[low]
-            if at is not None and pool[at][5]:
-                self._low_correct = low
-                return pool[at]
-            low += 1
-        self._low_correct = low
-        return None
-
     def _drop_to(self, receivers: frozenset[int]) -> int:
         """Take every message to receivers out of flight, in id order."""
         pool = self.pool
@@ -369,11 +370,19 @@ class Simulation:
         oldest = pool[by_id[low]]
         if self.time - oldest[4] >= self._fairness:
             if not oldest[5]:
-                # an overdue message between correct processes goes first
-                first = self._oldest_correct()
-                if first is not None and (self.time - first[4]
-                                          >= self._fairness):
-                    return first
+                # an overdue message between correct processes goes first;
+                # the second cursor walks forward to the oldest of those
+                low, top = self._low_correct, len(by_id)
+                while low < top:
+                    at = by_id[low]
+                    if at is not None and pool[at][5]:
+                        break
+                    low += 1
+                self._low_correct = low
+                if low < top:
+                    first = pool[at]
+                    if self.time - first[4] >= self._fairness:
+                        return first
             return oldest
         if self._fifo:
             return oldest
@@ -405,11 +414,32 @@ class Simulation:
                 room -= k
                 self._send(pid, range(k), eff.payload)
             elif kind is Send:
-                if room:
-                    room -= 1
-                    if not 0 <= eff.dest < self.n:
-                        raise ValueError(f"receiver {eff.dest} out of range")
-                    self._send(pid, (eff.dest,), eff.payload)
+                if not room:
+                    continue
+                room -= 1
+                receiver, payload = eff.dest, eff.payload
+                if not 0 <= receiver < self.n:
+                    raise ValueError(f"receiver {receiver} out of range")
+                # one message in flight, by _send's rule for each receiver
+                seq, time = self._seq, self.time
+                self._seq = seq + 1
+                self.events.append(Event((seq, time, "SEND", pid, pid,
+                                          receiver, payload)))
+                by_id, byzantine = self._by_id, self.byzantine
+                mid = len(by_id)
+                if pid in byzantine or receiver in byzantine:
+                    if receiver in byzantine and self._aside is not None:
+                        self._aside += 1
+                        by_id.append(None)
+                        continue
+                    msg = (mid, pid, receiver, payload, time, False)
+                else:
+                    msg = (mid, pid, receiver, payload, time, True)
+                by_id.append(len(self.pool))
+                self.pool.append(msg)
+                if self._reorder:
+                    heapq.heappush(self._ranked,
+                                   (self.strategy.delivery_rank(msg), mid))
             elif kind is RDeliver:
                 self._record("RDELIVER", pid, eff.origin, pid,
                              {"origin": eff.origin, "value": eff.value,
@@ -521,7 +551,6 @@ class Simulation:
         pool, by_id = self.pool, self._by_id
         events, handlers = self.events, self._handlers
         due, choose = self._workload_due, self._choose
-        new = tuple.__new__
         event = None
         count = 0
         while count < limit:
@@ -542,8 +571,8 @@ class Simulation:
             seq = self._seq
             self._seq = seq + 1
             # fields in EVENT_FIELDS order, as in _record
-            event = new(Event, (seq, time, "DELIVER", receiver, sender,
-                                receiver, payload))
+            event = Event((seq, time, "DELIVER", receiver, sender, receiver,
+                           payload))
             events.append(event)
             effects = handlers[receiver](sender, payload)
             if effects:  # most deliveries change nothing visible
@@ -555,11 +584,16 @@ class Simulation:
     def step(self) -> Event | None:
         """Deliver one message; returns its DELIVER event, or None at rest.
 
+        On an idle network, time jumps to the next time-triggered entry as
+        in run(), so None means nothing is in flight and no entry is timed.
         Once the run has halted its trace is final: stepping raises.
         """
         if self.halted:
             raise SimulationClosedError("cannot step after the run halted")
-        return self._deliver(1)
+        event = self._deliver(1)
+        while event is None and self._advance_idle_time():
+            event = self._deliver(1)
+        return event
 
     def run(self) -> Trace:
         """Deliver until the run is at rest or has spent its step budget.

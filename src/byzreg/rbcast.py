@@ -83,6 +83,16 @@ class ReliableBroadcast:
     arriving ahead of the head are buffered; at most PENDING_CAP instances
     are held per origin besides the head, oldest dropped first, so a
     flooding origin cannot exhaust memory.
+
+    Invariant: whenever no handler is running, no origin's head instance
+    holds a value with a delivery quorum of READY senders. A quorum that
+    forms at the head is delivered by the call that forms it, and the
+    delivery loop then checks each new head in turn. So a READY vote can
+    complete an instance only when it is for the head and brings its value
+    to the quorum; only then does on_ready look for a deliverable
+    instance. A vote that changes nothing (a stale or repeated vote, one
+    below t+1 senders, one for a value already readied and not at the
+    head's quorum) returns after constant work.
     """
 
     def __init__(self, node_id: int, n: int, t: int, *,
@@ -144,9 +154,12 @@ class ReliableBroadcast:
         if senders is None:
             senders = votes[value] = set()
         senders.add(sender)
-        if len(senders) >= self.echo_quorum:
-            return self._emit_ready(origin, value, sn)
-        return []
+        if len(senders) < self.echo_quorum:
+            return []
+        sent = self.readied.get(key)
+        if sent is not None and value in sent:
+            return []
+        return [self._emit_ready(origin, value, sn, sent)]
 
     def on_ready(self, origin: int, value: Value, sn: int,
                  sender: int) -> list[Broadcast | RDeliver]:
@@ -160,22 +173,31 @@ class ReliableBroadcast:
         if senders is None:
             senders = votes[value] = set()
         senders.add(sender)
+        count = len(senders)
+        if count <= self.t:
+            return []
         out: list[Broadcast | RDeliver] = []
-        if len(senders) >= self.t + 1:
-            out.extend(self._emit_ready(origin, value, sn))
-        out.extend(self._deliver_ready_instances(origin))
+        sent = self.readied.get(key)
+        if sent is None or value not in sent:
+            out.append(self._emit_ready(origin, value, sn, sent))
+        if count >= self.deliver_quorum and sn == self.next_sn[origin]:
+            # the head's first quorum: see the invariant above
+            out.extend(self._deliver_ready_instances(origin))
         return out
 
     # -- internals --------------------------------------------------------
 
-    def _emit_ready(self, origin: int, value: Value,
-                    sn: int) -> list[Broadcast]:
-        """READY for (origin, value, sn), unless this node already sent it."""
-        sent = self.readied.setdefault((origin, sn), set())
-        if value in sent:
-            return []
-        sent.add(value)
-        return [Broadcast(Ready(origin, value, sn))]
+    def _emit_ready(self, origin: int, value: Value, sn: int,
+                    sent: set[Value] | None) -> Broadcast:
+        """READY for (origin, value, sn), which this node has not sent.
+
+        sent is the instance's set of readied values, None if it has none.
+        """
+        if sent is None:
+            self.readied[(origin, sn)] = {value}
+        else:
+            sent.add(value)
+        return Broadcast(Ready(origin, value, sn))
 
     def _deliver_ready_instances(self, origin: int) -> list[Broadcast | RDeliver]:
         """Deliver everything at the head of origin's sequence, in order."""
@@ -199,7 +221,9 @@ class ReliableBroadcast:
 
     def _ready_complete_value(self, origin: int, sn: int):
         """First value, in vote arrival order, with a delivery quorum."""
-        for value, senders in self.ready_senders.get((origin, sn), {}).items():
-            if len(senders) >= self.deliver_quorum:
-                return value
+        votes = self.ready_senders.get((origin, sn))
+        if votes is not None:
+            for value, senders in votes.items():
+                if len(senders) >= self.deliver_quorum:
+                    return value
         return _NOTHING

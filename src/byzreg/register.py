@@ -66,9 +66,17 @@ class PendingWrite:
 
 @dataclass
 class PendingRead:
+    """A read in progress at its reader.
+
+    reports holds the first reported sn per reporter; fresh counts those
+    at or below the local copy's sn. A new report adds itself to fresh,
+    and fresh is recounted only when the local copy of the target moves.
+    """
+
     target: int
     rsn: int
     reports: dict[int, int] = field(default_factory=dict)
+    fresh: int = 0
     chosen: RegEntry | None = None  # set when the freshness round ends
     acks: set[int] = field(default_factory=set)
 
@@ -142,13 +150,11 @@ class RegisterNode:
         return self.rb.on_echo(msg.origin, msg.value, msg.sn, sender)
 
     def _on_ready(self, sender: int, msg: Ready) -> list[Effect]:
-        return self._lift(self.rb.on_ready(msg.origin, msg.value, msg.sn,
-                                           sender))
+        out = self.rb.on_ready(msg.origin, msg.value, msg.sn, sender)
+        return self._lift(out) if out else out
 
     def _lift(self, rb_effects) -> list[Effect]:
         """Forward broadcast-layer output, applying each delivery after it."""
-        if not rb_effects:
-            return rb_effects
         out: list[Effect] = []
         for eff in rb_effects:
             out.append(eff)
@@ -167,7 +173,10 @@ class RegisterNode:
         self.registers[writer] = RegEntry(value, sn)
         out: list[Effect] = [Send(writer, WriteDone(sn))]
         out.extend(self._release_catchups(writer))
-        out.extend(self._check_freshness(changed=writer))
+        pr = self.pending_read
+        if pr is not None and pr.chosen is None and pr.target == writer:
+            pr.fresh = sum(1 for rep in pr.reports.values() if rep <= sn)
+            out.extend(self._check_freshness(pr))
         return out
 
     def _on_write_done(self, sender: int, msg: WriteDone) -> list[Effect]:
@@ -191,30 +200,30 @@ class RegisterNode:
     def _on_state(self, sender: int, msg: StateReply) -> list[Effect]:
         pr = self.pending_read
         if (pr is None or pr.chosen is not None
-                or msg.target != pr.target or msg.rsn != pr.rsn):
+                or msg.target != pr.target or msg.rsn != pr.rsn
+                or sender in pr.reports):  # first report per sender wins
             return []
-        pr.reports.setdefault(sender, msg.sn)  # first report per sender wins
-        return self._check_freshness(changed=pr.target)
+        pr.reports[sender] = msg.sn
+        if msg.sn <= self.registers[pr.target].sn:
+            pr.fresh += 1
+        return self._check_freshness(pr)
 
-    def _check_freshness(self, changed: int) -> list[Effect]:
+    def _check_freshness(self, pr: PendingRead) -> list[Effect]:
         """Fire the freshness guard if some n-t reports are all stale enough.
 
         The guard asks for the existence of n-t distinct reporters whose
         numbers are at most our own, not for the first n-t replies: a
         Byzantine reporter quoting an inflated number must not be able to
-        wedge the read.
+        wedge the read. pr is the pending read, its round still open and
+        its fresh count up to date.
         """
-        pr = self.pending_read
-        if pr is None or pr.chosen is not None or changed != pr.target:
-            return []
-        local = self.registers[pr.target]
         if NO_FRESHNESS in self.mutations:
             satisfied = len(pr.reports) >= self.read_quorum
         else:
-            fresh = sum(1 for rep in pr.reports.values() if rep <= local.sn)
-            satisfied = fresh >= self.read_quorum
+            satisfied = pr.fresh >= self.read_quorum
         if not satisfied:
             return []
+        local = self.registers[pr.target]
         pr.chosen = local
         if NO_CATCH_UP in self.mutations:
             return self._finish_read()

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front door."""
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from byzreg.cli import bundled_scenario_names, main, resolve_scenario
 from byzreg.errors import ScenarioError
+from byzreg.netsim import Trace
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, matrix_scenario,
                              standard_workload)
 
@@ -147,6 +149,35 @@ def test_replay_writes_artifacts(tmp_path, capsys):
         (tmp_path / "abd-style-fault-free-seed2.report.json").read_text())
     assert report["trace_hash"] == trace_hash
     assert (tmp_path / "abd-style-fault-free-seed2.trace.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, encodes", [
+    (["replay", "abd-style-fault-free", "--seed", "0"], 1),
+    (["run", "abd-style-fault-free", "--seeds", "0:2", "-v"], 2),
+    (["sweep", "read-inversion-window", "--seeds", "0:5",
+      "--mutate", "NO_CATCH_UP"], 1),
+], ids=["replay", "run-verbose", "sweep-first-failure"])
+def test_each_trace_is_encoded_once(tmp_path, capsys, monkeypatch, argv,
+                                    encodes):
+    calls = []
+    jsonl = Trace.jsonl
+    monkeypatch.setattr(Trace, "jsonl",
+                        lambda trace: calls.append(1) or jsonl(trace))
+    main([*argv, "--out", str(tmp_path)])
+    assert len(calls) == encodes
+    printed = re.findall(r"^trace_hash=(\w+)$", capsys.readouterr().out,
+                         re.MULTILINE)
+    # each written trace hashes to its report's trace_hash, and to the
+    # printed one where the command prints it
+    written = []
+    for path in sorted(tmp_path.glob("*.trace.jsonl")):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        report = path.with_name(path.name.replace(".trace.jsonl",
+                                                  ".report.json"))
+        assert json.loads(report.read_text())["trace_hash"] == digest
+        written.append(digest)
+    assert len(written) == encodes
+    assert printed == ([] if argv[0] == "sweep" else written)
 
 
 def test_mutation_flag_turns_run_red(capsys):

@@ -10,7 +10,7 @@ from byzreg.adversary import STRATEGIES, AckForge, ReadyPoison
 from byzreg.checker import run_all_checks
 from byzreg.cli import bundled_scenario_names, resolve_scenario, run_one
 from byzreg.errors import ScenarioError, SimulationClosedError, TraceError
-from byzreg.messages import Echo, Message, WriteDone
+from byzreg.messages import Echo, Message, Ready, WriteDone
 from byzreg.netsim import EVENT_FIELDS, Event, Simulation, Trace
 from byzreg.rbcast import Broadcast, Send
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
@@ -98,6 +98,36 @@ class TestEnqueue:
         in_flight = [sim.pool[sim._by_id[mid]] for mid in range(1, 5)]
         assert [msg[RECEIVER] for msg in in_flight] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("settling", [False, True])
+    @pytest.mark.parametrize("sender", [0, 3], ids=["correct", "faulty"])
+    def test_sends_go_in_flight_as_a_broadcast_does(self, sender, settling):
+        # a Send takes its own path in _process_effects; n of them to pids
+        # 0..n-1 must leave what one Broadcast leaves: the records, the
+        # correct flags, the set-aside count and the ranks
+        def after(effects):
+            sim = Simulation(small_scenario(
+                workload=[], scheduler="ADVERSARIAL_REORDER",
+                adversary=AdversarySpec("COLLUDE_DELAY", (3,),
+                                        {"favored": 1, "victim": 2})))
+            enqueue(sim, 1, 2, WriteDone(1))
+            sim.time = 5
+            if settling:
+                sim._aside = 0
+            sim._process_effects(sender, effects)
+            return sim
+
+        ready = Ready(1, "x", 1)
+        one = after([Broadcast(ready)])
+        each = after([Send(dest, ready) for dest in range(4)])
+        assert each.events == one.events
+        assert (each.pool, each._by_id) == (one.pool, one._by_id)
+        assert each._ranked == one._ranked
+        assert each._aside == one._aside == (1 if settling else None)
+        assert len(set(rank for rank, _ in one._ranked)) > 1
+        assert [m[CORRECT] for m in one.pool] == [
+            True, *(sender != 3 and receiver != 3
+                    for receiver in range(4 - settling))]
+
 
 class TestLifecycle:
     def test_empty_workload_is_immediately_quiescent(self):
@@ -131,6 +161,20 @@ class TestLifecycle:
         trace = Simulation(cfg).run()
         assert trace.outcome == "QUIESCENT"
         assert any(e["kind"] == "OP_END" for e in trace.events)
+
+    def test_stepping_jumps_idle_time_like_run(self):
+        cfg = small_scenario(workload=[
+            WorkloadOp("w1", 0, "write", value="x", at=500)])
+        whole = Simulation(cfg).run()
+        sim = Simulation(cfg)
+        first = sim.step()  # nothing is in flight at time 0
+        assert first is not None and first["time"] == 501
+        while sim.step() is not None:
+            pass
+        assert sim._timed == [] and sim.pool == []
+        finals = sum(e["kind"] == "FINAL" for e in whole.events)
+        assert sim.events == whole.events[:-finals]
+        assert sim.run().trace_hash() == whole.trace_hash()
 
     def test_wedged_run_reports_stuck_guards(self):
         # the freshness guard can never pass: nobody ever writes register 3
@@ -223,13 +267,19 @@ class TestInFlightPool:
             [3, 1, 3, 1, 3],
             adversary=AdversarySpec("CRASH_SILENT", (3,), {}))
         assert sim._choose()[ID] == 0
-        assert sim._oldest_correct()[ID] == 1
+        # once the oldest (to faulty p3) is overdue, _choose walks the
+        # correct-message cursor to the oldest message between correct pids
+        sim.time = sim._fairness
+        assert sim._choose()[ID] == 1
         self.take(sim, 1)
-        assert sim._oldest_correct()[ID] == 3
+        assert sim._choose()[ID] == 3
         self.take(sim, 3)
-        assert sim._oldest_correct() is None
+        assert sim._choose()[ID] == 0  # no correct message left
         assert enqueue(sim, 0, 1, WriteDone(5)) == 5
-        assert sim._oldest_correct()[ID] == 5
+        assert sim._choose()[ID] == 0  # id 5 is not overdue yet
+        sim.time += sim._fairness
+        assert sim._choose()[ID] == 5
+        assert sim._low_correct == 5
 
     def test_drop_to_removes_only_messages_to_the_receivers(self):
         sim = self.sim_with([(mid + 1) % 3 for mid in range(6)])
@@ -300,7 +350,12 @@ class TestDeliveryLoop:
         small_scenario(scheduler="FIFO", seed=3),
         matrix_scenario(4, "COLLUDE_DELAY", 2),
         small_scenario(step_budget=40),
-    ], ids=["random", "fifo", "adversarial-reorder", "budget-stop"])
+        # the read is over after 16 deliveries; the write waits for time 100
+        small_scenario(workload=[
+            WorkloadOp("r1", 1, "read", target=0, at=0),
+            WorkloadOp("w1", 0, "write", value="x", at=100)]),
+    ], ids=["random", "fifo", "adversarial-reorder", "budget-stop",
+            "idle-gap"])
     @pytest.mark.parametrize("k", [1, 7, 30])
     def test_steps_then_run_match_run_alone(self, cfg, k):
         whole = Simulation(cfg).run()
