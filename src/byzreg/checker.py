@@ -1,8 +1,9 @@
 """Post-hoc trace verifier.
 
 Everything here is a pure function over a recorded trace.
-``derive_histories`` is the only function that reads the trace's event
-records, and the only one that groups operations by register; it fills
+``derive_histories`` is the only function that reads the trace's records,
+straight from its log (see ``netsim``), and the only one that groups
+operations by register; it fills
 a ``History`` in one pass, and every other check works from that History
 and the trace's metadata (n, the Byzantine set, the outcome). The checker
 derives, per register, the sequence of values the correct processes
@@ -131,12 +132,13 @@ _BY_RECEIVER = frozenset({"WRITE_DONE", "STATE", "CATCH_UP_DONE"})
 
 
 def derive_histories(trace: Trace) -> History:
-    """Gather what the checks need from the trace's event records.
+    """Gather what the checks need from the trace's records.
 
-    This is the only function that reads them. One pass collects the
-    operations, the r-deliveries at correct processes (each is also that
-    process's register apply) and the APPs correct origins sent, and
-    charges every send by a correct process to the operation it serves:
+    This is the only function that reads them. One pass over the trace's
+    log collects the operations, the r-deliveries at correct processes
+    (each is also that process's register apply) and the APPs correct
+    origins sent, and charges every send by a correct process to the
+    operation it serves:
 
     * broadcast-layer messages and write acks to the write instance they
       carry;
@@ -144,11 +146,9 @@ def derive_histories(trace: Trace) -> History:
     * catch-up traffic to the requester's latest read of that register
       started before the send.
 
-    The tables these lookups read change only at an OP_START, so each
-    further SEND of one broadcast batch (the same payload object from the
-    same correct sender) is charged where the first one was, without a
-    second lookup, unless its op depends on the receiver (WRITE_DONE,
-    STATE, CATCH_UP_DONE).
+    A DELIVER entry is skipped by its shape, and a broadcast batch's k
+    sends are charged with one lookup, unless its op depends on the
+    receiver (WRITE_DONE, STATE, CATCH_UP_DONE).
 
     Per-writer histories and agreement then come from the deliveries, and
     one pass over the operations groups them by register and resolves
@@ -169,56 +169,62 @@ def derive_histories(trace: Trace) -> History:
     broadcasts: dict[tuple[int, int], set[Value]] = {}
     first_app_seq: dict[tuple[int, int], int] = {}
     unattributed = 0
-    # the current broadcast batch: its payload, sender and tag, and the
-    # sends per tag of the op it is charged to (None: unattributed)
-    batch = batch_sender = tag = batch_counts = None
-    for seq, _, kind, node, sender, receiver, p in trace.events:
-        if kind == "DELIVER":  # about half the records; none is needed
+    # a record's seq minus its position in the log, as of the last entry
+    # read: an Event names its seq, and a batch of k adds k - 1 records
+    offset = 0
+    for i, entry in enumerate(trace.log):
+        size = len(entry)
+        if size == 6:  # a DELIVER: about half the records; none is needed
             continue
+        if size == 4:  # a batch: the SENDs of p to pids 0..k-1
+            _, sender, k, p = entry
+            seq = i + offset
+            offset += k - 1
+            kind = "SEND"
+            receivers = range(k)
+        else:
+            seq, _, kind, node, sender, receiver, p = entry
+            offset = seq - i
+            receivers = (receiver,)
         if kind == "SEND":
-            if p is batch and sender == batch_sender:
-                if batch_counts is None:
-                    unattributed += 1
-                else:
-                    batch_counts[tag] += 1
-                continue
             if sender not in correct:
                 continue
             tag = p.tag
-            op = None
+            if tag in _BY_RECEIVER:  # each is charged by its receiver
+                for receiver in receivers:
+                    if tag == "WRITE_DONE":
+                        op = writes.get((receiver, p.sn))
+                    elif tag == "STATE":
+                        op = reads.get((receiver, p.target, p.rsn))
+                    else:
+                        op = latest.get(("READ", receiver, p.target))
+                    if op is None:
+                        unattributed += 1  # e.g. a Byzantine requester's
+                    else:
+                        op.counts[tag] = op.counts.get(tag, 0) + 1
+                continue
             if tag == "APP":
                 key = (sender, p.sn)
                 broadcasts.setdefault(key, set()).add(p.value)
                 first_app_seq.setdefault(key, seq)
                 op = writes.get(key)
-            elif tag in ("ECHO", "READY"):
+            elif tag == "ECHO" or tag == "READY":
                 op = writes.get((p.origin, p.sn))
-            elif tag == "WRITE_DONE":
-                op = writes.get((receiver, p.sn))
             elif tag == "READ":
                 op = reads.get((sender, p.target, p.rsn))
-            elif tag == "STATE":
-                op = reads.get((receiver, p.target, p.rsn))
             elif tag == "CATCH_UP":
                 op = latest.get(("READ", sender, p.target))
-            elif tag == "CATCH_UP_DONE":
-                op = latest.get(("READ", receiver, p.target))
+            else:
+                op = None
             if op is None:
-                unattributed += 1  # e.g. replies to a Byzantine requester
-                batch_counts = None
+                unattributed += len(receivers)
             else:
-                batch_counts = op.counts
-                batch_counts[tag] = batch_counts.get(tag, 0) + 1
-            if tag in _BY_RECEIVER:
-                batch = None
-            else:
-                batch, batch_sender = p, sender
+                op.counts[tag] = op.counts.get(tag, 0) + len(receivers)
         elif kind == "RDELIVER":
             if node in correct:
                 deliveries.append((node, p["origin"], p["value"], p["sn"],
                                    seq))
         elif kind == "OP_START":
-            batch = None  # the lookup tables change
             op = OperationRecord(
                 kind=p["op"], op_id=p["id"], invoker=node,
                 target=p["target"], start_seq=seq, end_seq=None,

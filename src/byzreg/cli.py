@@ -67,11 +67,25 @@ def parse_seeds(args, default: int) -> list[int]:
 
 
 def load_with_overrides(args) -> ScenarioConfig:
-    """Resolve the scenario, add the --mutate mutations, then validate."""
+    """Resolve the scenario, add the --mutate mutations, then validate.
+
+    --out is checked here too, so that no seed runs before it is refused.
+    """
     cfg = resolve_scenario(args.scenario)
     cfg.mutations |= frozenset(args.mutate or ())
     cfg.validate()
+    if args.out:
+        check_out_dir(Path(args.out))
     return cfg
+
+
+def check_out_dir(path: Path) -> None:
+    """Refuse an --out path that names a file or lies under one."""
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ScenarioError(f"--out {path}: {part} is not a directory")
+            return
 
 
 def run_one(cfg: ScenarioConfig, seed: int) -> tuple[Trace, CheckReport]:

@@ -38,13 +38,32 @@ in indexes (dependents by "after" id, a heap on "at", and per-process
 lists of entries that found their process busy), so a delivery at which
 no entry is due costs a constant-time check, however long the workload.
 
-Each run produces a trace: one record per event, an ``Event`` tuple of
-the ``EVENT_FIELDS`` values in that order, so a (scenario, seed) pair
-reproduces the identical byte stream. The simulator and the checker
-unpack records by position; other readers may index one by field name,
-``e["kind"]``. The run ends with one FINAL record per correct node, in
-pid order, holding that node's registers and operation counters as plain
-JSON. The trace is the only input the checker ever looks at.
+Each run produces a trace, a sequence of records, each the values of
+``EVENT_FIELDS`` in that order, so a (scenario, seed) pair reproduces the
+identical byte stream. The run ends with one FINAL record per correct
+node, in pid order, holding that node's registers and operation counters
+as plain JSON. The trace is the only input the checker ever looks at.
+
+The simulator keeps a trace as one log of what the run already holds,
+with entries of three shapes, told apart by their length:
+
+* a DELIVER is the in-flight tuple ``(id, sender, receiver, payload,
+  enqueue_time, correct)`` that was delivered, appended as it is;
+* a batch ``(time, sender, k, payload)`` is a ``Broadcast``: the SENDs of
+  one payload to processes 0..k-1, in pid order;
+* every other record (OP_START, OP_END, RDELIVER, FINAL and the SEND of a
+  single ``Send``) is an ``Event``, a tuple of the seven fields.
+
+Only an ``Event`` names its seq: every other record's seq is the previous
+record's plus one. A batch carries its time, since a Byzantine entry can
+send one first thing after an idle jump. A DELIVER's time is the previous
+record's time plus one: every record between two deliveries is made at
+the first one's time, and after an idle jump nothing is in flight, so
+some other record opens the new time before the next delivery. A list of
+``Event``s is a log too. ``Trace.events`` expands a log into one
+``Event`` per record, lazily; ``Trace.jsonl`` and
+``checker.derive_histories`` read the log itself. An ``Event`` unpacks by
+position; other readers may index one by field name, ``e["kind"]``.
 
 A SEND or DELIVER record's payload is the ``Message`` object itself: a
 message's SEND and DELIVER records, the SENDs of one message object to
@@ -61,24 +80,22 @@ messages: a ``Broadcast`` counts n, and one that crosses the cap goes to
 processes 0..k-1 only, k being the room left.
 
 Sends are batched: a node's ``Broadcast`` effect becomes one call that
-puts the message in flight to processes 0..n-1 in pid order, appending
-one SEND record per receiver, each holding the one message object. A
-``Send`` effect, one message to one process, is put in flight inline in
-the effect loop, by the same rule, so it pays for no call and no batch
-set-up. An in-flight message is a plain tuple, ``(id, sender, receiver,
-payload, enqueue_time, correct)``, correct meaning that sender and
-receiver are both correct. The in-flight pool is two lists: one of the
-in-flight messages in any order, for the uniform draw and swap-removal,
-and one indexed by message id, giving each message's index in the first
-(None once it is delivered or set aside).
-Two forward cursors walk the second list inside the draw (``_choose``):
-one to the oldest message in flight, one to the oldest message between
-correct processes, the latter only once the oldest message is overdue
-and not between correct processes. A delivery costs no dict operation
-and builds no object besides its DELIVER record. Records are built as
-``Event((...))``; the SEND and DELIVER records, nearly all of a trace,
-are built inline where they happen, every other kind through
-``_record``.
+puts the message in flight to processes 0..n-1 in pid order and appends
+one batch entry to the log. A ``Send`` effect, one message to one
+process, is put in flight inline in the effect loop, by the same rule,
+so it pays for no call and no batch set-up. An in-flight message is a
+plain tuple, ``(id, sender, receiver, payload, enqueue_time, correct)``,
+correct meaning that sender and receiver are both correct. The in-flight
+pool is two lists: one of the in-flight messages in any order, for the
+uniform draw and swap-removal, and one indexed by message id, giving
+each message's index in the first (None once it is delivered or set
+aside). Two forward cursors walk the second list inside the draw
+(``_choose``): one to the oldest message in flight, one to the oldest
+message between correct processes, the latter only once the oldest
+message is overdue and not between correct processes. A delivery costs
+no dict operation and builds no object: its log entry is the tuple that
+was in flight. Batches and a single ``Send``'s SEND are appended inline
+where they happen, every other record through ``_record``.
 
 One loop delivers: ``run()`` drives it to the end or to the step budget,
 and ``step()`` is the same loop with a limit of one delivery. Before each
@@ -112,18 +129,25 @@ OUTCOME_SETTLED = "SETTLED"
 OUTCOME_BUDGET = "BUDGET_EXCEEDED"
 OUTCOME_STUCK = "STUCK"
 
-# The fields of an event record, in order. _record builds every record
-# except SENDs and DELIVERs, which _send, _process_effects and _deliver
-# build inline; Trace.jsonl and checker.derive_histories unpack records by
-# position, and Trace.jsonl formats them through _RECORD, which writes
-# exactly these fields in this order. A field changes here and in all of
-# these places at once.
+# The fields of a trace record, in order. An Event holds them in this
+# order: _record builds one, and _process_effects a single Send's SEND.
+# Events.__iter__ builds DELIVER and batch SEND records in this order,
+# Trace.jsonl writes every record's fields in this order (_RECORD) and
+# checker.derive_histories unpacks Events by position. A field changes
+# here and in all of these places at once.
 EVENT_FIELDS = ("seq", "time", "kind", "node", "sender", "receiver",
                 "payload")
 _FIELD_INDEX = {name: i for i, name in enumerate(EVENT_FIELDS)}
-# one event record as a compact JSON line; see Trace.jsonl
+# one record as a compact JSON line; see Trace.jsonl
 _RECORD = ('{"seq":%d,"time":%d,"kind":"%s","node":%s,"sender":%s,'
            '"receiver":%s,"payload":%s}')
+# the same for a DELIVER, and for a batch's SENDs in three parts: the
+# fields between seq and receiver, the payload, and the line around them
+_DELIVER = ('{"seq":%d,"time":%d,"kind":"DELIVER","node":%d,"sender":%d,'
+            '"receiver":%d,"payload":%s}')
+_SEND_MIDDLE = ',"time":%d,"kind":"SEND","node":%d,"sender":%d,"receiver":'
+_PAYLOAD = ',"payload":%s}'
+_SEND = '{"seq":%d%s%d%s'
 
 
 class Event(tuple):
@@ -137,6 +161,61 @@ class Event(tuple):
 
     def __getitem__(self, key, _get=tuple.__getitem__, _index=_FIELD_INDEX):
         return _get(self, _index[key] if type(key) is str else key)
+
+
+class Events:
+    """A log's records, one Event each, in seq order.
+
+    Iteration expands the log lazily (see the module docstring) and len()
+    counts records without building them; indexing, slicing and ==
+    build the whole list.
+    """
+
+    __slots__ = ("log",)
+
+    def __init__(self, log: list):
+        self.log = log
+
+    def __iter__(self):
+        seq = time = 0
+        for entry in self.log:
+            size = len(entry)
+            if size == 6:  # a DELIVER
+                _, sender, receiver, payload, _, _ = entry
+                time += 1
+                yield Event((seq, time, "DELIVER", receiver, sender, receiver,
+                             payload))
+                seq += 1
+            elif size == 4:  # a batch
+                time, sender, k, payload = entry
+                for receiver in range(k):
+                    yield Event((seq, time, "SEND", sender, sender, receiver,
+                                 payload))
+                    seq += 1
+            else:
+                yield entry
+                seq, time, _, _, _, _, _ = entry
+                seq += 1
+
+    def __len__(self) -> int:
+        count = len(self.log)
+        for entry in self.log:
+            if len(entry) == 4:
+                count += entry[2] - 1
+        return count
+
+    def __getitem__(self, key):
+        return list(self)[key]
+
+    def __eq__(self, other):
+        if isinstance(other, Events):
+            other = list(other)
+        return list(self) == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Events({list(self)!r})"
 
 
 @contextmanager
@@ -168,11 +247,17 @@ class Trace:
     byzantine: tuple[int, ...]
     step_budget: int
     outcome: str
-    # one Event per record, in seq order; SEND and DELIVER payloads are
-    # the Message objects themselves, shared between records (see the
-    # module docstring), and every payload must be treated as read-only
-    events: list[Event] = field(default_factory=list)
+    # the records as one log of DELIVER tuples, batches and Events, in seq
+    # order (see the module docstring); SEND and DELIVER payloads are the
+    # Message objects themselves, shared between records, and every
+    # payload must be treated as read-only
+    log: list = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
+
+    @property
+    def events(self) -> Events:
+        """The records, one Event each, expanded from the log."""
+        return Events(self.log)
 
     def correct_nodes(self) -> list[int]:
         return [p for p in range(self.n) if p not in self.byzantine]
@@ -197,28 +282,55 @@ class Trace:
         }
 
     def jsonl(self) -> str:
-        """META, then one compact JSON line per event record.
+        """META, then one compact JSON line per record.
 
         Each line is what json.dumps with separators (",", ":") gives for
         the record, built from the fixed field layout: seq, time, kind,
         then node, sender and receiver (an int or null), then the payload:
         a Message through its to_wire(), any other payload as it is. A
-        payload object shared by several records is encoded once.
+        payload object shared by several records is encoded once. The log
+        is read as it is, with seq and time carried as Events does.
         """
         encode = json.JSONEncoder(separators=(",", ":")).encode
         lines = [encode(self.meta_record())]
+        append = lines.append
         encoded: dict[int, str] = {}  # id(payload) -> JSON
-        for seq, time, kind, node, sender, receiver, p in self.events:
-            text = encoded.get(id(p))
-            if text is None:
-                text = encoded[id(p)] = encode(
-                    p.to_wire() if isinstance(p, Message) else p)
-            lines.append(_RECORD % (
-                seq, time, kind,
-                "null" if node is None else node,
-                "null" if sender is None else sender,
-                "null" if receiver is None else receiver, text))
-        return "\n".join(lines) + "\n"
+        seq = time = 0
+        for entry in self.log:
+            size = len(entry)
+            if size == 6:  # a DELIVER
+                _, sender, receiver, p, _, _ = entry
+                text = encoded.get(id(p))
+                if text is None:
+                    text = encoded[id(p)] = encode(p.to_wire())
+                time += 1
+                append(_DELIVER % (seq, time, receiver, sender, receiver,
+                                   text))
+                seq += 1
+            elif size == 4:  # a batch: k lines that differ in two fields
+                time, sender, k, p = entry
+                text = encoded.get(id(p))
+                if text is None:
+                    text = encoded[id(p)] = encode(p.to_wire())
+                middle = _SEND_MIDDLE % (time, sender, sender)
+                tail = _PAYLOAD % text
+                for receiver in range(k):
+                    append(_SEND % (seq, middle, receiver, tail))
+                    seq += 1
+            else:
+                seq, time, kind, node, sender, receiver, p = entry
+                text = encoded.get(id(p))
+                if text is None:
+                    text = encoded[id(p)] = encode(
+                        p.to_wire() if isinstance(p, Message) else p)
+                append(_RECORD % (
+                    seq, time, kind,
+                    "null" if node is None else node,
+                    "null" if sender is None else sender,
+                    "null" if receiver is None else receiver, text))
+                seq += 1
+        append("")  # the last line's newline
+        return "\n".join(lines)
 
     def trace_hash(self) -> str:
         return jsonl_hash(self.jsonl())
@@ -272,8 +384,8 @@ class Simulation:
         self._fifo = scenario.scheduler == "FIFO"
         self.time = 0
         self._delivered = 0  # deliveries so far, step()'s included
-        self._seq = 0
-        self.events: list[Event] = []
+        self.log: list = []  # the trace; see the module docstring
+        self._extra = 0  # records beyond one per log entry: batches' k - 1
         self.halted = False
         self._op_state = {op.id: "waiting" for op in scenario.workload}
         self._open = len(scenario.workload)  # entries not yet done
@@ -293,38 +405,38 @@ class Simulation:
 
     # -- trace plumbing ------------------------------------------------------
 
+    @property
+    def events(self) -> Events:
+        """The records so far, one Event each, expanded from the log."""
+        return Events(self.log)
+
     def _record(self, kind: str, node: int, sender, receiver,
-                payload) -> Event:
-        # fields in EVENT_FIELDS order; SENDs and DELIVERs are built inline
-        event = Event((self._seq, self.time, kind, node, sender, receiver,
-                       payload))
-        self._seq += 1
-        self.events.append(event)
-        return event
+                payload) -> None:
+        # fields in EVENT_FIELDS order; the next seq is the record count
+        log = self.log
+        log.append(Event((len(log) + self._extra, self.time, kind, node,
+                          sender, receiver, payload)))
 
     # -- network interface ----------------------------------------------------
 
-    def _send(self, sender: int, receivers, payload: Message) -> None:
-        """Put payload in flight from sender to each receiver, in order.
+    def _send(self, sender: int, k: int, payload: Message) -> None:
+        """Put payload in flight from sender to processes 0..k-1, in order.
 
-        One SEND record per receiver, all holding the payload object, and
-        one message id each, issued in order: a message's id is its index
-        in _by_id, which holds its index in the pool. Receivers must be
-        pids in [0, n): a Broadcast's are by construction. A Send does not
-        come here: _process_effects puts its one message in flight by the
-        same rule, inline.
+        One batch entry in the log stands for the k SEND records, and each
+        receiver gets one message id, issued in order: a message's id is
+        its index in _by_id, which holds its index in the pool. k is at
+        least 1. A Send does not come here: _process_effects puts its one
+        message in flight by the same rule, inline.
         """
-        events, time = self.events, self.time
+        time = self.time
+        self.log.append((time, sender, k, payload))
+        self._extra += k - 1
         pool, by_id = self.pool, self._by_id
         byzantine = self.byzantine
         sender_byz = sender in byzantine
         rank = self.strategy.delivery_rank if self._reorder else None
-        seq, mid = self._seq, len(by_id)
-        for receiver in receivers:
-            # fields in EVENT_FIELDS order, as in _record
-            events.append(Event((seq, time, "SEND", sender, sender, receiver,
-                                 payload)))
-            seq += 1
+        mid = len(by_id)
+        for receiver in range(k):
             if sender_byz or receiver in byzantine:
                 if receiver in byzantine and self._aside is not None:
                     self._aside += 1
@@ -339,7 +451,6 @@ class Simulation:
             if rank is not None:
                 heapq.heappush(self._ranked, (rank(msg), mid))
             mid += 1
-        self._seq = seq
 
     def _take(self, msg: tuple) -> None:
         """Take an in-flight message out of flight, as _deliver does."""
@@ -411,8 +522,9 @@ class Simulation:
             kind = type(eff)
             if kind is Broadcast:
                 k = self.n if room >= self.n else room
-                room -= k
-                self._send(pid, range(k), eff.payload)
+                if k:
+                    room -= k
+                    self._send(pid, k, eff.payload)
             elif kind is Send:
                 if not room:
                     continue
@@ -421,10 +533,9 @@ class Simulation:
                 if not 0 <= receiver < self.n:
                     raise ValueError(f"receiver {receiver} out of range")
                 # one message in flight, by _send's rule for each receiver
-                seq, time = self._seq, self.time
-                self._seq = seq + 1
-                self.events.append(Event((seq, time, "SEND", pid, pid,
-                                          receiver, payload)))
+                log, time = self.log, self.time
+                log.append(Event((len(log) + self._extra, time, "SEND", pid,
+                                  pid, receiver, payload)))
                 by_id, byzantine = self._by_id, self.byzantine
                 mid = len(by_id)
                 if pid in byzantine or receiver in byzantine:
@@ -541,17 +652,15 @@ class Simulation:
             return True
         return False
 
-    def _deliver(self, limit: int) -> Event | None:
+    def _deliver(self, limit: int) -> int:
         """The delivery loop: deliver up to limit messages.
 
         Before each delivery, starts the workload if an entry is due. Stops
-        early when nothing is in flight. Returns the last DELIVER record,
-        or None if there was none.
+        early when nothing is in flight. Returns the number delivered.
         """
         pool, by_id = self.pool, self._by_id
-        events, handlers = self.events, self._handlers
+        log, handlers = self.log, self._handlers
         due, choose = self._workload_due, self._choose
-        event = None
         count = 0
         while count < limit:
             if due():
@@ -567,19 +676,14 @@ class Simulation:
                 pool[at] = last
                 by_id[last[0]] = at
             by_id[mid] = None
-            self.time = time = self.time + 1
-            seq = self._seq
-            self._seq = seq + 1
-            # fields in EVENT_FIELDS order, as in _record
-            event = Event((seq, time, "DELIVER", receiver, sender, receiver,
-                           payload))
-            events.append(event)
+            self.time += 1
+            log.append(msg)  # its DELIVER record
             effects = handlers[receiver](sender, payload)
             if effects:  # most deliveries change nothing visible
                 self._process_effects(receiver, effects)
             count += 1
         self._delivered += count
-        return event
+        return count
 
     def step(self) -> Event | None:
         """Deliver one message; returns its DELIVER event, or None at rest.
@@ -590,10 +694,20 @@ class Simulation:
         """
         if self.halted:
             raise SimulationClosedError("cannot step after the run halted")
-        event = self._deliver(1)
-        while event is None and self._advance_idle_time():
-            event = self._deliver(1)
-        return event
+        while not self._deliver(1):
+            if not self._advance_idle_time():
+                return None
+        # the DELIVER is the last entry of its shape; the records of its
+        # effects follow it
+        log = self.log
+        seq = len(log) + self._extra
+        for entry in reversed(log):
+            seq -= entry[2] if len(entry) == 4 else 1
+            if len(entry) == 6:
+                break
+        _, sender, receiver, payload, _, _ = entry
+        return Event((seq, self.time, "DELIVER", receiver, sender, receiver,
+                      payload))
 
     def run(self) -> Trace:
         """Deliver until the run is at rest or has spent its step budget.
@@ -629,7 +743,7 @@ class Simulation:
             byzantine=tuple(sorted(self.byzantine)),
             step_budget=self.scenario.step_budget,
             outcome=outcome,
-            events=self.events,
+            log=self.log,
             diagnostics=self._diagnostics(outcome))
 
     def _at_rest(self) -> bool:

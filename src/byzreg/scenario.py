@@ -70,6 +70,10 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"name {name!r} must be a file name: not empty, "
                 "'.' or '..', and without '/', '\\' or a null character")
+        if self.seed < 0:
+            # random.Random(-s) draws what random.Random(s) draws
+            raise ScenarioError(
+                f"seed must be non-negative (got {self.seed})")
         if self.n < 1:
             raise ScenarioError("n must be positive")
         if self.t < 0:

@@ -29,7 +29,7 @@ from test_netsim import event
 def make_trace(events, n=4, t=1, byz=(), outcome="QUIESCENT"):
     return Trace(scenario_name="synthetic", n=n, t=t, seed=0,
                  scheduler="RANDOM", adversary=None, byzantine=tuple(byz),
-                 step_budget=1000, outcome=outcome, events=list(events))
+                 step_budget=1000, outcome=outcome, log=list(events))
 
 
 _seq = itertools.count()
@@ -764,7 +764,7 @@ class TestSinglePass:
         trace = Simulation(cfg).run()
         intact = run_all_checks(trace)
         history = derive_histories(trace)
-        trace.events.clear()
+        trace.log.clear()
         verdicts = [*history.derivation_verdicts,
                     *check_safety(history, trace),
                     *check_rb(history, trace),

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from byzreg import cli
 from byzreg.cli import bundled_scenario_names, main, resolve_scenario
 from byzreg.errors import ScenarioError
 from byzreg.netsim import Trace
@@ -478,11 +479,45 @@ def with_adversary(*nodes, **fields):
      "workload entry #0 is missing required field 'op'"),
     (small_doc(adversary={"nodes": [3]}),
      "adversary is missing required field 'name'"),
+    (small_doc(seed=-1), "seed must be non-negative (got -1)"),
 ], ids=["n", "t", "t-above-n", "t-equals-n", "scheduler", "fairness-bound",
         "step-budget", "no-adversary-nodes", "adversary-node-range",
         "adversary-over-t", "duplicate-id", "process-range", "op",
         "target-range", "no-trigger", "negative-at", "document",
-        "entry-missing-op", "adversary-missing-name"])
+        "entry-missing-op", "adversary-missing-name", "negative-seed"])
 def test_out_of_range_scenario_values_are_scenario_errors(tmp_path, capsys,
                                                           doc, message):
     assert_scenario_error(tmp_path, capsys, doc, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "abd-style-fault-free", "--seed", "-1"],
+    ["run", "abd-style-fault-free", "--seeds=-3:2"],
+    ["sweep", "read-termination", "--seeds=-50:50"],
+    ["replay", "read-termination", "--seed", "-7"],
+], ids=["run-seed", "run-seeds", "sweep", "replay"])
+def test_negative_seeds_are_refused(capsys, argv):
+    # random.Random(-s) draws what random.Random(s) draws, so a negative
+    # seed would only repeat the schedule of its positive twin
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "seed must be non-negative" in err
+    assert "seed=" not in out and "sweep" not in out
+
+
+@pytest.mark.parametrize("command, seeds", [
+    ("run", ["--seeds", "0:2"]), ("sweep", ["--seeds", "0:2"]),
+    ("replay", ["--seed", "0"])], ids=["run", "sweep", "replay"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_path_through_a_file_is_refused_before_any_seed_runs(
+        tmp_path, capsys, monkeypatch, command, seeds, below):
+    blocker = tmp_path / "notes.txt"
+    blocker.write_text("kept\n")
+    out = blocker / "x" if below else blocker
+    ran = []
+    monkeypatch.setattr(cli, "run_one", lambda *args: ran.append(args))
+    assert main([command, "abd-style-fault-free", *seeds,
+                 "--out", str(out)]) == 2
+    assert f"{blocker} is not a directory" in capsys.readouterr().err
+    assert ran == []
+    assert blocker.read_text() == "kept\n"

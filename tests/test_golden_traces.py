@@ -87,6 +87,24 @@ def byzantine_chain() -> ScenarioConfig:
                           adversary=AdversarySpec("EQUIVOCATE_WRITE", (3,)))
 
 
+def byzantine_after_idle() -> ScenarioConfig:
+    """n=4 with a sequence-skipping p3 whose write is due after idle time.
+
+    The network is empty when p3's entry comes due, so time jumps to it
+    and p3's broadcast is the first record at the new time; the read that
+    waits for it and the deliveries follow.
+    """
+    ops = [
+        WorkloadOp("a", 0, "write", value="a", at=0),
+        WorkloadOp("z", 3, "write", value="z", at=1000),
+        WorkloadOp("b", 1, "read", target=3, after="z"),
+        WorkloadOp("c", 2, "read", target=0, at=3000),
+    ]
+    return ScenarioConfig(name="golden-byzantine-after-idle", n=4, t=1,
+                          scheduler="RANDOM", workload=ops,
+                          adversary=AdversarySpec("SEQ_SKIP", (3,)))
+
+
 def cases() -> dict[str, ScenarioConfig]:
     out = {}
     for name in bundled_scenario_names():
@@ -109,8 +127,11 @@ def cases() -> dict[str, ScenarioConfig]:
                 out[f"{cfg.name}+{m.lower()}/0"] = cfg
     flood = matrix_scenario(13, "READY_POISON", 0)
     out[f"{flood.name}/0"] = flood
-    for cfg in (chained_reads(), wide_writes(), byzantine_chain()):
+    for cfg in (chained_reads(), wide_writes(), byzantine_after_idle()):
         out[f"{cfg.name}/0"] = cfg
+    chain = byzantine_chain()
+    for seed in BUNDLED_SEEDS:
+        out[f"{chain.name}/{seed}"] = chain.with_seed(seed)
     return out
 
 

@@ -16,7 +16,7 @@ from byzreg.rbcast import Broadcast, Send
 from byzreg.scenario import (AdversarySpec, ScenarioConfig, WorkloadOp,
                              matrix_scenario)
 from helpers import enqueue
-from test_golden_traces import reference_jsonl
+from test_golden_traces import cases as golden_cases, reference_jsonl
 
 # fields of an in-flight message, Simulation's tuple
 ID, SENDER, RECEIVER, _, SENT, CORRECT = range(6)
@@ -447,7 +447,7 @@ class TestGcPause:
         trace = Trace(scenario_name="orphan", n=4, t=1, seed=0,
                       scheduler="RANDOM", adversary=None, byzantine=(),
                       step_budget=10, outcome="QUIESCENT",
-                      events=[orphan_end])
+                      log=[orphan_end])
         with pytest.raises(TraceError):
             run_all_checks(trace)
         assert gc.isenabled() is enabled
@@ -638,7 +638,7 @@ class TestChannelSemantics:
         ]
         trace = Trace(scenario_name="caf\u00e9", n=2, t=0, seed=0,
                       scheduler="RANDOM", adversary=None, byzantine=(),
-                      step_budget=10, outcome="QUIESCENT", events=events,
+                      step_budget=10, outcome="QUIESCENT", log=events,
                       diagnostics=["\u00fcber"])
         assert trace.jsonl() == reference_jsonl(trace)
 
@@ -807,3 +807,91 @@ class TestSettle:
             assert late == [], (trace.n, trace.seed)
             assert any(e["kind"] == "DELIVER" and e["receiver"] in byz
                        for e in trace.events[:done])
+
+
+def log_layout_cases():
+    """Bundled scenarios x seeds 0-4, the unmutated n=4 and n=7 matrix
+    cells, the n=13 poison flood and the golden Byzantine workloads, which
+    jump idle time."""
+    bundled = set(bundled_scenario_names())
+    return {key: cfg for key, cfg in golden_cases().items()
+            if "+" not in key and (
+                key.split("/")[0] in bundled
+                or key.startswith(("matrix-n4-", "matrix-n7-",
+                                   "matrix-n13-", "golden-byzantine-")))}
+
+
+class TestLogLayout:
+    """The log's three entry shapes expand to the records a run made.
+
+    Checked through Trace.events, against the run's log: seq runs
+    0..N-1; time moves only at a DELIVER, by one, or while nothing is in
+    flight (an idle jump); a batch stands for SENDs to pids 0..k-1 of
+    its one payload object; every DELIVER matches an earlier SEND by
+    (payload object, receiver), and every SEND to a correct process is
+    delivered by the end.
+    """
+
+    @pytest.mark.parametrize("key", sorted(log_layout_cases()))
+    def test_records_follow_the_log(self, key):
+        cfg = log_layout_cases()[key]
+        trace = Simulation(cfg).run()
+        records = list(trace.events)
+        assert [e["seq"] for e in records] == list(range(len(records)))
+        assert len(trace.events) == len(records)
+
+        at = 0  # the position of the entry's first record
+        for entry in trace.log:
+            if len(entry) == 4:  # a batch
+                time, sender, k, payload = entry
+                assert 1 <= k <= trace.n
+                batch = records[at:at + k]
+                assert [e["receiver"] for e in batch] == list(range(k))
+                assert all(e["kind"] == "SEND" and e["sender"] == sender
+                           and e["time"] == time and e["payload"] is payload
+                           for e in batch)
+                at += k
+                continue
+            if len(entry) == 6:  # a DELIVER
+                _, sender, receiver, payload, _, _ = entry
+                e = records[at]
+                assert (e["kind"], e["sender"], e["receiver"]) == (
+                    "DELIVER", sender, receiver)
+                assert e["payload"] is payload
+            else:
+                assert records[at] is entry
+            at += 1
+        assert at == len(records)
+
+        byz = set(trace.byzantine)
+        in_flight = collections.Counter()  # (id(payload), receiver) -> sends
+        previous = records[0]["time"]
+        for e in records:
+            kind, time = e["kind"], e["time"]
+            key = (id(e["payload"]), e["receiver"])
+            if kind == "DELIVER":
+                assert time == previous + 1, e
+                assert in_flight[key] > 0, e
+                in_flight[key] -= 1
+            else:
+                assert time == previous or (
+                    time > previous and not +in_flight), e
+                if kind == "SEND":
+                    in_flight[key] += 1
+            previous = time
+        assert all(receiver in byz for _, receiver in +in_flight)
+
+    @pytest.mark.parametrize("cfg", [
+        golden_cases()["golden-byzantine-after-idle/0"],
+        golden_cases()["golden-byzantine-chain/1"],
+        matrix_scenario(7, "READY_POISON", 0)],
+        ids=["after-idle", "chain", "poison"])
+    def test_step_returns_the_record_its_delivery_expands_to(self, cfg):
+        # step() rebuilds the DELIVER it returns from the log, past the
+        # batches and Events its effects appended
+        sim = Simulation(cfg)
+        stepped = []
+        while (e := sim.step()) is not None:
+            stepped.append(e)
+        assert stepped == [e for e in sim.events if e["kind"] == "DELIVER"]
+        assert all(type(e) is Event for e in stepped)
